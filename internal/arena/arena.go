@@ -62,8 +62,8 @@ func SetBackend(b Backend) Backend {
 func DefaultBackend() Backend { return Backend(defaultBackend.Load()) }
 
 // Arena allocates float32 slices out of large slabs. A second byte-slab
-// class backs the quantized (uint16/int8) allocations, carved with the
-// same cache-line alignment.
+// class backs the narrower (uint16/uint32/int32) allocations, carved with
+// the same cache-line alignment.
 type Arena struct {
 	slabSize int
 	backend  Backend
@@ -293,18 +293,8 @@ func (a *Arena) AllocUint16(n int) []uint16 {
 	return unsafe.Slice((*uint16)(unsafe.Pointer(&b[0])), n)
 }
 
-// AllocInt8 returns a zeroed cache-line-aligned []int8 of length n — the
-// backing store for int8 weight mirrors.
-func (a *Arena) AllocInt8(n int) []int8 {
-	b := a.allocBytes(n)
-	if b == nil {
-		return nil
-	}
-	return unsafe.Slice((*int8)(unsafe.Pointer(&b[0])), n)
-}
-
 // AllocUint32 returns a zeroed cache-line-aligned []uint32 of length n —
-// the backing store for flat hash-table id slabs and per-row code memos.
+// the backing store for flat hash-table id slabs.
 func (a *Arena) AllocUint32(n int) []uint32 {
 	b := a.allocBytes(n * 4)
 	if b == nil {

@@ -146,7 +146,7 @@ func TestNegativeAllocPanics(t *testing.T) {
 
 func TestAllocUint16ZeroedAligned(t *testing.T) {
 	a := New(1 << 16)
-	a.AllocInt8(3) // misalign the byte cursor
+	a.AllocUint16(3) // misalign the byte cursor
 	s := a.AllocUint16(100)
 	if len(s) != 100 {
 		t.Fatalf("len = %d", len(s))
@@ -164,23 +164,6 @@ func TestAllocUint16ZeroedAligned(t *testing.T) {
 	}
 }
 
-func TestAllocInt8NoAliasing(t *testing.T) {
-	a := New(1 << 16)
-	x := a.AllocInt8(64)
-	y := a.AllocInt8(64)
-	for i := range x {
-		x[i] = 1
-	}
-	for i, v := range y {
-		if v != 0 {
-			t.Fatalf("int8 allocation aliasing at %d: %v", i, v)
-		}
-	}
-	if addr := uintptr(unsafe.Pointer(&y[0])); addr%CacheLineBytes != 0 {
-		t.Fatalf("int8 allocation not cache-line aligned: %#x", addr)
-	}
-}
-
 func TestByteSlabsCountedInSlabs(t *testing.T) {
 	a := New(1 << 16)
 	before := a.Slabs()
@@ -190,12 +173,12 @@ func TestByteSlabsCountedInSlabs(t *testing.T) {
 	}
 	// A huge quantized allocation takes a dedicated byte slab.
 	mid := a.Slabs()
-	s := a.AllocInt8(1 << 20)
+	s := a.AllocUint16(1 << 20)
 	if len(s) != 1<<20 {
-		t.Fatalf("large int8 alloc len %d", len(s))
+		t.Fatalf("large uint16 alloc len %d", len(s))
 	}
 	if a.Slabs() != mid+1 {
-		t.Fatal("large int8 alloc did not take a dedicated slab")
+		t.Fatal("large uint16 alloc did not take a dedicated slab")
 	}
 	// Float accounting is unaffected by byte slabs.
 	if a.Floats() != 0 {

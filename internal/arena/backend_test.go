@@ -31,10 +31,10 @@ func carve(a *Arena) []uint32 {
 		q[i] = uint16(r.Intn(1 << 16))
 		out = append(out, uint32(q[i]))
 	}
-	b := a.AllocInt8(129)
-	for i := range b {
-		b[i] = int8(r.Intn(256) - 128)
-		out = append(out, uint32(uint8(b[i])))
+	c := a.AllocUint32(129)
+	for i := range c {
+		c[i] = uint32(r.Intn(1 << 30))
+		out = append(out, c[i])
 	}
 	return out
 }

@@ -103,10 +103,7 @@ func (m MirrorFormat) String() string {
 	}
 }
 
-// kernelFormat maps the core enum to the kernels-layer format. The int8
-// stretch format exists only at the kernels layer (per-column scales need
-// a rebuild policy training doesn't provide yet) and is deliberately not
-// exposed here.
+// kernelFormat maps the core enum to the kernels-layer format.
 func (m MirrorFormat) kernelFormat() kernels.MirrorFormat {
 	if m == MirrorBF16 {
 		return kernels.MirrorBF16
@@ -214,18 +211,6 @@ type Config struct {
 	// UpdateMode selects the gradient write discipline (§3.1); the
 	// default is the paper's HOGWILD asynchronous updates.
 	UpdateMode optim.UpdateMode
-
-	// FullRebuild forces every scheduled table rebuild to re-hash all
-	// neuron rows from scratch, disabling the dirty-row incremental path
-	// (§4.2 "Updating Overhead"). The default — incremental — re-hashes
-	// only rows whose weights changed since their codes were last
-	// memoized and re-inserts the rest from the per-row code memo; the
-	// resulting tables are bit-identical to a full rebuild at every
-	// generation, so this switch only trades rebuild time (kept for A/B
-	// measurement and as the equivalence reference). Serialized with the
-	// model config; files written before the field existed load as
-	// incremental.
-	FullRebuild bool
 
 	// RebuildN0 is the initial hash-table rebuild period in iterations
 	// and RebuildLambda the exponential decay constant (§4.2): the t-th

@@ -366,12 +366,6 @@ func (l *Layer) ApplyDelta(adam optim.Adam, ld *LayerDelta, alpha, invB float32,
 				}
 				applied++
 			}
-			// The row's weight vector moved, so its memoized hash codes
-			// are stale (bias-only rows don't drift: codes hash weights
-			// only). Each row has a single writer here.
-			if l.dirty != nil && ld.RowOff[r+1] > ld.RowOff[r] {
-				l.dirty[j] = l.hashEpoch
-			}
 			if gb := ld.Bias[r]; gb != 0 {
 				adam.Step1(&l.b[j], &l.mB[j], &l.vB[j], gb*invB, alpha)
 				applied++

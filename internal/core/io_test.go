@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -70,5 +71,58 @@ func TestLoadRejectsBadInput(t *testing.T) {
 	}
 	if err := m.Load(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("shape mismatch accepted")
+	}
+}
+
+// TestLoadModelIgnoresRetiredFullRebuild: model files written while
+// Config carried a FullRebuild switch embed "FullRebuild":true|false in
+// their config JSON. They must still load, into the same network a file
+// without the key gives, with tables equal to a fresh from-scratch build.
+func TestLoadModelIgnoresRetiredFullRebuild(t *testing.T) {
+	classes := 128
+	ds := tinyDataset(t, classes)
+	n, err := NewNetwork(tinyConfig(classes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Train(ds.Train, ds.Test, TrainConfig{Iterations: 10, Seed: 3, EvalEvery: 0}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := n.SaveModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.Bytes()
+	ref, err := LoadModel(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// v2 layout: 8-byte magic, uint32 config length, config JSON, weights.
+	cfgLen := binary.LittleEndian.Uint32(file[8:12])
+	cfgJSON, weights := file[12:12+cfgLen], file[12+cfgLen:]
+	for _, val := range []string{"true", "false"} {
+		t.Run("FullRebuild="+val, func(t *testing.T) {
+			patched := append([]byte(`{"FullRebuild":`+val+`,`), cfgJSON[1:]...)
+			var old bytes.Buffer
+			old.Write(file[:8])
+			binary.Write(&old, binary.LittleEndian, uint32(len(patched)))
+			old.Write(patched)
+			old.Write(weights)
+
+			m, err := LoadModel(&old)
+			if err != nil {
+				t.Fatalf("LoadModel rejected a file carrying FullRebuild=%s: %v", val, err)
+			}
+			l := m.layers[1]
+			if !l.Tables().Equal(ref.layers[1].Tables()) {
+				t.Fatal("tables differ from loading the same weights without the retired key")
+			}
+			fresh := l.Tables().Shadow(m.rebuildGen)
+			l.insertAll(fresh, func(j int) []float32 { return l.w[j] }, 2)
+			if !l.Tables().Equal(fresh) {
+				t.Fatal("loaded tables differ from a fresh rebuild of the loaded weights")
+			}
+		})
 	}
 }

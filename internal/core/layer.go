@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/arena"
 	"repro/internal/hashtable"
@@ -51,53 +50,31 @@ type Layer struct {
 	// layers. tables is a swappable handle: rebuilds construct a detached
 	// shadow table set and publish it atomically, so forward passes and
 	// Predictor queries stay valid mid-rebuild on whichever set they
-	// loaded. memo, when non-nil, holds incremental Simhash re-hash
-	// state (§4.2 trick 3; see incremental.go).
+	// loaded.
 	fam    lsh.Family
 	tables *hashtable.Handle
-	memo   *rehashMemo
 
 	// mirror is the column-major weight mirror the scatter-form forward
 	// kernel streams (nil when the layer never scatters: sampled layers,
 	// layers whose input is always dense, and KernelLegacy networks).
 	// Derived state: ApplyDelta/applyAdamFused dual-write stepped cells
 	// and bulk weight restores call refreshMirror. The same one-resident-
-	// copy trade snapBuf and the rehashMemo make, spent on forward speed
-	// instead of rebuild speed.
+	// copy trade snapBuf makes, spent on forward speed instead of
+	// off-critical-path rebuilds.
 	mirror *kernels.Mirror
 
-	// snapBuf is the reusable weight-snapshot buffer for detached
+	// snapBuf is the reusable weight-snapshot buffer for background
 	// rebuilds. At most one rebuild is in flight per network (the train
 	// loop owns the pending build), so the buffer is free for reuse by
-	// the time the next prepare runs. It trades one resident weight copy
-	// per training sampled layer — the same trade the rehashMemo makes —
-	// for not allocating out*in floats of garbage on every rebuild.
+	// the time the next snapshot runs. It trades one resident weight copy
+	// per trained sampled layer for not allocating out*in floats of
+	// garbage on every rebuild; networks that only ever rebuild
+	// synchronously (construction, LoadModel, serving) never allocate it.
 	snapBuf []float32
-
-	// Dirty-row incremental rebuild state (§4.2 "Updating Overhead",
-	// generalized to every hash family): codeMemo holds every neuron's
-	// NumFuncs codes as of its last re-hash, and dirty[j] == hashEpoch
-	// marks rows whose weights changed since — the same stamp discipline
-	// touched/batchEpoch use for gradients. A rebuild re-hashes only the
-	// stamped rows and re-inserts the rest from the memo; because a row's
-	// codes are a pure function of its weight row, the resulting table is
-	// bit-identical to a full from-scratch build. All nil when
-	// Config.FullRebuild disables the path (dirty-marking then costs
-	// nothing). dirtyList/dirtySnap/codesBuf are rebuild scratch reused
-	// across generations, under the same one-rebuild-in-flight guarantee
-	// snapBuf relies on.
-	codeMemo  []uint32
-	dirty     []uint32
-	hashEpoch uint32
-	dirtyList []int32
-	dirtySnap []float32
-	codesBuf  []uint32
-
-	// rowsRehashed/rowsReused count rebuild rows freshly hashed vs
-	// re-inserted from the memo, accumulated atomically because shadow
-	// builds run on a background goroutine (TrainResult surfaces them).
-	rowsRehashed int64
-	rowsReused   int64
+	// codesBuf is the rebuildChunk*NumFuncs code scratch every build
+	// hashes into, reused across generations under the same
+	// one-rebuild-in-flight guarantee snapBuf relies on.
+	codesBuf []uint32
 }
 
 // newLayer builds an initialized layer. Weight initialization is He-style
@@ -170,16 +147,6 @@ func newLayer(idx, in int, cfg LayerConfig, netCfg Config, ar *arena.Arena, seed
 			return nil, fmt.Errorf("core: layer %d: %w", idx, err)
 		}
 		l.tables = hashtable.NewHandle(tables)
-		if !netCfg.FullRebuild {
-			// Every row starts dirty: the construction-time build hashes
-			// the whole layer and seeds the memo.
-			l.codeMemo = ar.AllocUint32(cfg.Size * fam.NumFuncs())
-			l.dirty = make([]uint32, cfg.Size)
-			l.hashEpoch = 1
-			for j := range l.dirty {
-				l.dirty[j] = 1
-			}
-		}
 	}
 	return l, nil
 }
@@ -245,96 +212,22 @@ func (l *Layer) Bias(j int) float32 { return l.b[j] }
 const rebuildChunk = 4096
 
 // Table lifecycle (§4.2 "Updating Overhead", made non-blocking): a
-// rebuild never mutates the live table set. It (1) prepares a read-only
-// view of the weights at a batch boundary — a chunked snapshot copy, or
-// for memo layers a sparse projection diff — then (2) hashes and inserts
-// every neuron into a detached generation-seeded shadow set, and (3)
-// publishes the shadow with one atomic handle store. Only step (1) has to
-// run while training is quiesced; steps (2)-(3) are safe concurrently
-// with HOGWILD weight writes and with live Predictor traffic, which is
-// what lets Network overlap the expensive build with training batches.
+// rebuild never mutates the live table set. It hashes and inserts every
+// neuron into a detached generation-seeded shadow set, then publishes the
+// shadow with one atomic handle store. A background build first copies
+// the weights into a snapshot at a batch boundary — the only step that
+// needs training quiesced — so hashing runs concurrently with HOGWILD
+// weight writes and live Predictor traffic. A synchronous build hashes
+// the live rows in place instead: with no concurrent writers the result
+// is identical, and it never needs the out*in snapshot.
 
-// rebuildSync runs the full lifecycle inline: prepare, build the
-// generation-gen shadow from the prepared state, publish.
+// rebuildSync builds the generation-gen shadow from the live rows inline
+// and publishes it.
 func (l *Layer) rebuildSync(gen uint64, workers int) {
 	if l.tables == nil {
 		return
 	}
-	prep := l.prepareRebuild(workers, false)
-	l.tables.Store(l.buildShadow(gen, prep, workers))
-}
-
-// rebuildPrep carries what a rebuild's synchronous (quiesced-weights)
-// prepare phase hands to the — possibly background — build phase.
-type rebuildPrep struct {
-	// snap is the full out*in weight snapshot a detached full rebuild
-	// hashes from; nil on the incremental and inline paths.
-	snap []float32
-	// dirty lists the rows whose codes drifted since the last rebuild
-	// (ascending); dirtySnap holds exactly those weight rows compacted
-	// back to back in the same order, so the detached incremental build
-	// reads no live weights. Both alias per-layer scratch that stays
-	// stable until the next prepare.
-	dirty     []int32
-	dirtySnap []float32
-}
-
-// prepareRebuild is the synchronous (quiesced-weights) part of a rebuild.
-// Memo layers fold the sparse weight diff of their dirty rows into the
-// memoized projections; code-memo layers collect the dirty-row list and
-// compact-copy those rows; full-rebuild layers snapshot everything when
-// the build is detached (copySnap) and hash live rows inline otherwise —
-// with no concurrent writers the result is identical either way.
-func (l *Layer) prepareRebuild(workers int, copySnap bool) rebuildPrep {
-	if l.memo != nil {
-		l.diffIncremental(workers)
-		return rebuildPrep{}
-	}
-	if l.codeMemo != nil {
-		dirty := l.collectDirtyRows(workers)
-		need := len(dirty) * l.in
-		if cap(l.dirtySnap) < need {
-			l.dirtySnap = make([]float32, need)
-		}
-		snap := l.dirtySnap[:need]
-		parallelRange(workers, len(dirty), func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				copy(snap[k*l.in:(k+1)*l.in], l.w[dirty[k]])
-			}
-		})
-		return rebuildPrep{dirty: dirty, dirtySnap: snap}
-	}
-	if !copySnap {
-		return rebuildPrep{}
-	}
-	return rebuildPrep{snap: l.snapshotRows(workers)}
-}
-
-// collectDirtyRows gathers the rows stamped dirty in the current hash
-// epoch into the reusable dirtyList and advances the epoch, so rows the
-// next batches touch land in the next rebuild's set. Must run with
-// training quiesced. On the rare epoch wrap all stamps are cleared so
-// stale values can never collide with re-issued epochs (the beginBatch
-// pattern).
-func (l *Layer) collectDirtyRows(workers int) []int32 {
-	l.dirtyList = scanStamps(l.dirty, l.hashEpoch, workers, l.dirtyList)
-	l.hashEpoch++
-	if l.hashEpoch == 0 {
-		clear(l.dirty)
-		l.hashEpoch = 1
-	}
-	return l.dirtyList
-}
-
-// markAllRowsDirty invalidates the whole code memo — called after bulk
-// weight restores, where every memoized code may be stale.
-func (l *Layer) markAllRowsDirty() {
-	if l.dirty == nil {
-		return
-	}
-	for j := range l.dirty {
-		l.dirty[j] = l.hashEpoch
-	}
+	l.tables.Store(l.buildShadow(gen, nil, workers))
 }
 
 // snapshotRows copies every neuron's weight row into the layer's flat
@@ -359,78 +252,21 @@ func (l *Layer) snapshotRows(workers int) []float32 {
 }
 
 // buildShadow constructs the generation-gen shadow table set without
-// publishing it. Memo layers derive codes from the (quiesced) memoized
-// projections; code-memo layers re-hash only the prepared dirty rows and
-// insert everything from the memo; full-rebuild layers hash prep.snap
-// when non-nil or the live weight rows when nil. Building from prepared
-// state touches no live training state, so it may run on a background
-// goroutine while training and inference continue on the published set.
-func (l *Layer) buildShadow(gen uint64, prep rebuildPrep, workers int) *hashtable.Table {
+// publishing it, hashing snap block-wise when non-nil and the live weight
+// rows when nil. Building from a snapshot touches no live training state,
+// so it may run on a background goroutine while training and inference
+// continue on the published set.
+func (l *Layer) buildShadow(gen uint64, snap []float32, workers int) *hashtable.Table {
 	shadow := l.tables.Load().Shadow(gen)
-	if l.memo != nil {
-		l.insertFromMemo(shadow, workers)
-		return shadow
-	}
-	if l.codeMemo != nil {
-		l.rehashDirty(prep, workers)
-		l.insertFromCodes(shadow, workers)
-		atomic.AddInt64(&l.rowsRehashed, int64(len(prep.dirty)))
-		atomic.AddInt64(&l.rowsReused, int64(l.out-len(prep.dirty)))
-		return shadow
-	}
-	if prep.snap != nil {
-		l.insertAllBlock(shadow, prep.snap, workers)
+	if snap != nil {
+		l.insertAllBlock(shadow, snap, workers)
 	} else {
 		l.insertAll(shadow, func(j int) []float32 { return l.w[j] }, workers)
 	}
-	atomic.AddInt64(&l.rowsRehashed, int64(l.out))
 	return shadow
 }
 
-// rehashDirty batch-hashes the prepared dirty-row snapshot block-wise
-// (lsh.Family.HashDenseRows) and scatters the fresh codes into the code
-// memo. Rows outside prep.dirty keep their memoized codes — exactly what
-// a full rebuild would recompute, since a row's codes are a pure
-// function of its weight row.
-func (l *Layer) rehashDirty(prep rebuildPrep, workers int) {
-	if workers < 1 {
-		workers = 1
-	}
-	nf := l.fam.NumFuncs()
-	codes := l.codesScratch(nf)
-	for base := 0; base < len(prep.dirty); base += rebuildChunk {
-		n := min(rebuildChunk, len(prep.dirty)-base)
-		block := prep.dirtySnap[base*l.in:]
-		parallelRange(workers, n, func(lo, hi int) {
-			l.fam.HashDenseRows(block[lo*l.in:hi*l.in], hi-lo, codes[lo*nf:hi*nf])
-			for k := lo; k < hi; k++ {
-				j := int(prep.dirty[base+k])
-				copy(l.codeMemo[j*nf:(j+1)*nf], codes[k*nf:(k+1)*nf])
-			}
-		})
-	}
-}
-
-// insertFromCodes inserts every neuron into dst straight from the code
-// memo, parallel over tables (the lock-free axis §3.1 identifies). It
-// reads no weights at all — the incremental build's hash cost is
-// proportional to the dirty fraction while this pass, cheap flat-slab
-// appends, covers all rows.
-func (l *Layer) insertFromCodes(dst *hashtable.Table, workers int) {
-	nf := l.fam.NumFuncs()
-	memo := l.codeMemo
-	parallelRange(min(workers, dst.L()), dst.L(), func(lo, hi int) {
-		for ti := lo; ti < hi; ti++ {
-			for j := 0; j < l.out; j++ {
-				dst.InsertInto(ti, uint32(j), memo[j*nf:(j+1)*nf])
-			}
-		}
-	})
-}
-
-// codesScratch returns the layer's reusable rebuildChunk*nf code buffer
-// (one rebuild in flight per network, so reuse across generations is
-// safe — the snapBuf argument).
+// codesScratch returns the layer's reusable rebuildChunk*nf code buffer.
 func (l *Layer) codesScratch(nf int) []uint32 {
 	if len(l.codesBuf) < rebuildChunk*nf {
 		l.codesBuf = make([]uint32, rebuildChunk*nf)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/arena"
 	"repro/internal/hashtable"
@@ -164,16 +163,16 @@ func (n *Network) Step() int64 { return n.step }
 // Rebuilds returns the number of scheduled hash-table rebuilds performed.
 func (n *Network) Rebuilds() int { return n.rebuilds }
 
-// RebuildRowCounts reports, summed over sampled layers and all builds
-// since construction, how many rebuild rows were freshly hashed vs
-// re-inserted from the per-row code memo — the dirty-fraction record of
-// the incremental rebuild path (reused is 0 with Config.FullRebuild).
-func (n *Network) RebuildRowCounts() (rehashed, reused int64) {
+// sampledRows returns the neuron count of all sampled layers — the rows
+// every table rebuild hashes.
+func (n *Network) sampledRows() int64 {
+	var rows int64
 	for _, l := range n.layers {
-		rehashed += atomic.LoadInt64(&l.rowsRehashed)
-		reused += atomic.LoadInt64(&l.rowsReused)
+		if l.Sampled() {
+			rows += int64(l.out)
+		}
 	}
-	return rehashed, reused
+	return rows
 }
 
 // NumParams returns the total trainable parameter count.
@@ -232,11 +231,11 @@ type pendingRebuild struct {
 // rebuildTick drives the non-blocking table lifecycle at a batch
 // boundary. If a background build finished, its shadows are published
 // (one atomic store per layer) and the next rebuild scheduled; otherwise,
-// when the §4.2 schedule is due and nothing is in flight, the synchronous
-// prepare step runs (memo diffs, weight snapshot copies) and the build is
-// kicked onto a background goroutine. The time the training loop is
-// blocked here — by design only the prepare/publish cost, never the
-// build itself — accumulates into n.rebuildStallNS.
+// when the §4.2 schedule is due and nothing is in flight, the weight
+// snapshots are copied and the build is kicked onto a background
+// goroutine. The time the training loop is blocked here — by design only
+// the snapshot/publish cost, never the build itself — accumulates into
+// n.rebuildStallNS.
 func (n *Network) rebuildTick(workers int) {
 	if n.pending != nil {
 		select {
@@ -257,11 +256,10 @@ func (n *Network) rebuildTick(workers int) {
 	n.rebuildStallNS += nowNano() - t0
 }
 
-// startBackgroundRebuild runs every sampled layer's synchronous prepare
-// step, then launches one goroutine that builds all shadow sets from the
-// prepared state. The build touches only snapshots, quiesced memo
-// projections and its own detached tables, so it is race-free against
-// training workers and live Predictor traffic.
+// startBackgroundRebuild snapshots every sampled layer's weights, then
+// launches one goroutine that builds all shadow sets from the snapshots.
+// The build touches only snapshots and its own detached tables, so it is
+// race-free against training workers and live Predictor traffic.
 func (n *Network) startBackgroundRebuild(workers int) {
 	n.rebuildGen++
 	gen := n.rebuildGen
@@ -269,21 +267,19 @@ func (n *Network) startBackgroundRebuild(workers int) {
 		done:    make(chan struct{}),
 		shadows: make([]*hashtable.Table, len(n.layers)),
 	}
-	preps := make([]rebuildPrep, len(n.layers))
+	snaps := make([][]float32, len(n.layers))
 	for li, l := range n.layers {
-		if !l.Sampled() {
-			continue
+		if l.Sampled() {
+			snaps[li] = l.snapshotRows(workers)
 		}
-		preps[li] = l.prepareRebuild(workers, true)
 	}
 	n.pending = p
 	go func() {
 		t0 := nowNano()
 		for li, l := range n.layers {
-			if !l.Sampled() {
-				continue
+			if l.Sampled() {
+				p.shadows[li] = l.buildShadow(gen, snaps[li], workers)
 			}
-			p.shadows[li] = l.buildShadow(gen, preps[li], workers)
 		}
 		p.buildNS = nowNano() - t0
 		close(p.done)

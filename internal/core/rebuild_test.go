@@ -2,10 +2,9 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
-
-	"repro/internal/lsh"
 )
 
 // TestShadowBuildMatchesSyncRebuild is the async-vs-sync equivalence
@@ -30,41 +29,31 @@ func TestShadowBuildMatchesSyncRebuild(t *testing.T) {
 	l := n.layers[1]
 	const gen = 7
 
-	prep := l.prepareRebuild(1, true)
-	inline := l.buildShadow(gen, prep, 1)
+	snap := l.snapshotRows(1)
+	inline := l.buildShadow(gen, snap, 1)
 
 	bgShadow := inline
 	bg := make(chan struct{})
 	go func() {
-		bgShadow = l.buildShadow(gen, prep, 3)
+		bgShadow = l.buildShadow(gen, snap, 3)
 		close(bg)
 	}()
 	<-bg
 	if !inline.Equal(bgShadow) {
-		t.Fatal("background shadow build diverged from inline build of the same prepared state and generation")
+		t.Fatal("background shadow build diverged from inline build of the same snapshot and generation")
 	}
 
-	// With the weights quiesced a second prepare finds nothing dirty, so
-	// a build from the bare memo (what rebuildSync would do next) matches
-	// the build that re-hashed the drifted rows.
-	live := l.buildShadow(gen, l.prepareRebuild(2, false), 2)
+	// With the weights quiesced, hashing the live rows in place — what
+	// the synchronous path does — matches the snapshot build.
+	live := l.buildShadow(gen, nil, 2)
 	if !inline.Equal(live) {
-		t.Fatal("memo-only build diverged from dirty-rehash build with quiesced weights")
-	}
-
-	// The incremental shadow must be bucket-for-bucket identical to a
-	// full from-scratch build of the live rows at the same generation —
-	// the §4.2 incremental-rebuild equivalence.
-	full := l.Tables().Shadow(gen)
-	l.insertAll(full, func(j int) []float32 { return l.w[j] }, 2)
-	if !inline.Equal(full) {
-		t.Fatal("incremental shadow diverged from full from-scratch build at the same generation")
+		t.Fatal("live-row build diverged from snapshot build with quiesced weights")
 	}
 
 	// A different generation draws different reservoir streams; it may
 	// only coincide when no bucket ever overflowed, so don't assert
 	// inequality — just that it builds and stores every neuron.
-	other := l.buildShadow(gen+1, prep, 1)
+	other := l.buildShadow(gen+1, snap, 1)
 	if got, want := other.Stats().TotalSeen, l.Tables().L()*l.out; got != want {
 		t.Fatalf("generation %d shadow saw %d insertions, want %d", gen+1, got, want)
 	}
@@ -124,49 +113,6 @@ func TestAsyncRebuildPublishes(t *testing.T) {
 	}
 	if resSync.RebuildBuildNS != 0 {
 		t.Fatalf("sync run recorded overlapped build time: %dns", resSync.RebuildBuildNS)
-	}
-}
-
-// TestAsyncRebuildIncrementalMemo: the memo (incremental Simhash) path
-// under the background lifecycle must keep the §4.2-trick-3 invariant —
-// after training with async rebuilds, the memoized projections still give
-// exactly the codes a direct hash of the live weights gives.
-func TestAsyncRebuildIncrementalMemo(t *testing.T) {
-	classes := 256
-	ds := tinyDataset(t, classes)
-	cfg := tinyConfig(classes)
-	cfg.RebuildN0 = 5
-	n, err := NewNetwork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.EnableIncrementalRehash(1); err != nil {
-		t.Fatal(err)
-	}
-	res, err := n.Train(ds.Train, ds.Test, TrainConfig{Iterations: 40, Threads: 1, Seed: 5, EvalEvery: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rebuilds == 0 {
-		t.Fatal("no rebuilds happened")
-	}
-	// Fold any training that happened after the last published diff into
-	// the projections, then compare code-for-code against direct hashing.
-	l := n.layers[1]
-	l.diffIncremental(1)
-	sh := l.fam.(*lsh.IncrementalSimhash)
-	nf := l.fam.NumFuncs()
-	direct := make([]uint32, nf)
-	memod := make([]uint32, nf)
-	for j := 0; j < l.out; j++ {
-		l.fam.HashDense(l.w[j], direct)
-		sh.CodesFromProjections(l.memo.proj[j*nf:(j+1)*nf], memod)
-		for f := range memod {
-			if memod[f] != direct[f] {
-				t.Fatalf("neuron %d func %d: memoized code %d != direct %d after async rebuilds",
-					j, f, memod[f], direct[f])
-			}
-		}
 	}
 }
 
@@ -297,5 +243,100 @@ func TestRestorePathsShareTableGeneration(t *testing.T) {
 	}
 	if !viaLoad.layers[1].Tables().Equal(viaLoadModel.layers[1].Tables()) {
 		t.Fatal("v1 Load and v2 LoadModel rebuilt different tables from identical weights (generation mismatch)")
+	}
+}
+
+// TestRestoreRebuildMatchesFromScratch: a bulk weight restore must leave
+// tables bucket-for-bucket equal to a from-scratch build of the restored
+// weights.
+func TestRestoreRebuildMatchesFromScratch(t *testing.T) {
+	classes := 256
+	ds := tinyDataset(t, classes)
+	cfg := tinyConfig(classes)
+	cfg.RebuildN0 = 1 << 30
+	n, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Train(ds.Train, ds.Test, TrainConfig{Iterations: 10, Seed: 4, EvalEvery: 0}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := n.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// Drift the weights past the save, then restore.
+	if _, err := n.Train(ds.Train, ds.Test, TrainConfig{Iterations: 10, Seed: 5, EvalEvery: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Load(&buf); err != nil {
+		t.Fatal(err)
+	}
+	l := n.layers[1]
+	cur := l.Tables()
+	full := cur.Shadow(n.rebuildGen)
+	l.insertAll(full, func(j int) []float32 { return l.w[j] }, 2)
+	if !cur.Equal(full) {
+		t.Fatal("tables after restore diverged from a from-scratch build of the restored weights")
+	}
+}
+
+// TestRebuildSteadyStateAllocs pins the allocation budget of a
+// steady-state synchronous rebuild (the CI allocation gate). After the
+// first rebuild warms the per-layer code buffer, each further rebuild
+// allocates only the fresh shadow table set itself — O(L) small objects
+// plus its arena slab — never O(rows) code scratch. And the synchronous
+// path — construction, SyncRebuild training, RebuildTables, LoadModel —
+// hashes live rows in place, never allocating the out*in weight snapshot
+// background builds copy into: that copy would double the sampled
+// layer's weight memory in every serving process.
+func TestRebuildSteadyStateAllocs(t *testing.T) {
+	classes := 4096
+	ds := tinyDataset(t, classes)
+	cfg := tinyConfig(classes)
+	cfg.Layers[0].Size = 256 // 4096x256 fp32 snapshot = 4 MiB
+	cfg.Layers[1].BucketSize = 8
+	cfg.RebuildN0 = 4
+	n, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Train(ds.Train, ds.Test, TrainConfig{
+		Iterations: 8, Seed: 2, EvalEvery: 0, SkipFinalEval: true, SyncRebuild: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	n.RebuildTables(1) // warm the rebuild scratch
+	allocs := testing.AllocsPerRun(5, func() { n.RebuildTables(1) })
+	// Budget: the shadow Table (struct, arena, one slab, L insert RNGs)
+	// for the sampled layer, plus small constant overhead. L=16 here, so
+	// anything O(rows)=4096 would blow far past the bound.
+	if allocs > 64 {
+		t.Fatalf("steady-state rebuild allocated %.0f objects; want <= 64 (O(L) shadow-table setup only)", allocs)
+	}
+
+	l := n.layers[1]
+	if l.snapBuf != nil {
+		t.Fatal("synchronous rebuilds allocated the weight snapshot buffer")
+	}
+	snapBytes := uint64(l.out) * uint64(l.in) * 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n.RebuildTables(1)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= snapBytes/2 {
+		t.Fatalf("synchronous rebuild allocated %d bytes; an out*in snapshot is %d", got, snapBytes)
+	}
+
+	var buf bytes.Buffer
+	if err := n.SaveModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadModel(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.layers[1].snapBuf != nil {
+		t.Fatal("LoadModel allocated the weight snapshot buffer")
 	}
 }

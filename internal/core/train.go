@@ -47,10 +47,10 @@ type TrainResult struct {
 	// RebuildBuildNS is the nanoseconds background shadow builds spent
 	// overlapped with training batches (zero with SyncRebuild).
 	RebuildBuildNS int64
-	// RowsRehashed / RowsReused count, over this run's rebuilds, the
-	// neuron rows freshly hashed vs re-inserted from the per-row code
-	// memo — the measured dirty fraction of the incremental rebuild path
-	// (RowsReused is 0 with Config.FullRebuild).
+	// RowsRehashed counts the neuron rows this run's rebuilds hashed:
+	// every rebuild re-hashes every sampled row. RowsReused is always 0;
+	// it remains so reports that compute the re-hashed fraction
+	// RowsRehashed/(RowsRehashed+RowsReused) keep working.
 	RowsRehashed int64
 	RowsReused   int64
 	// TouchedPerIter is the mean number of weight cells that received a
@@ -206,7 +206,6 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 	touchedStart := n.touchedWeights
 	rebuildsStart := n.rebuilds
 	stallStart, buildStart := n.rebuildStallNS, n.rebuildBuildNS
-	rehashStart, reuseStart := n.RebuildRowCounts()
 
 	res := &TrainResult{Curve: metrics.Curve{Name: "p@1"}}
 	var trainNS int64
@@ -444,9 +443,7 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 	res.Rebuilds = n.rebuilds - rebuildsStart
 	res.RebuildStallNS = n.rebuildStallNS - stallStart
 	res.RebuildBuildNS = n.rebuildBuildNS - buildStart
-	rehashEnd, reuseEnd := n.RebuildRowCounts()
-	res.RowsRehashed = rehashEnd - rehashStart
-	res.RowsReused = reuseEnd - reuseStart
+	res.RowsRehashed = int64(res.Rebuilds) * n.sampledRows()
 	if res.Iterations > 0 {
 		res.TouchedPerIter = float64(n.touchedWeights-touchedStart) / float64(res.Iterations)
 	}

@@ -138,9 +138,7 @@ func (c Config) Fused() bool { return c.Force != FormLegacy }
 
 // MirrorFormat selects the numeric storage of a weight mirror. FP32 is
 // the exact default; BF16 halves the bytes the scatter form streams at
-// ~3 decimal digits of precision; int8 quarters them behind a per-column
-// scale (the stretch format — saturating near the scale boundary, so
-// suited to inference and tolerance-tested training, not bit-exactness).
+// ~3 decimal digits of precision.
 type MirrorFormat uint8
 
 const (
@@ -150,10 +148,6 @@ const (
 	// MirrorBF16 stores bfloat16 columns (round-to-nearest-even on every
 	// write; relative error ≤ 2⁻⁸ per weight).
 	MirrorBF16
-	// MirrorInt8 stores int8 columns with one dequantization scale per
-	// column, fixed at Rebuild with 2x headroom; writes beyond the
-	// representable range saturate.
-	MirrorInt8
 )
 
 // String returns the configuration name of the format.
@@ -163,17 +157,10 @@ func (f MirrorFormat) String() string {
 		return "fp32"
 	case MirrorBF16:
 		return "bf16"
-	case MirrorInt8:
-		return "int8"
 	default:
 		return fmt.Sprintf("MirrorFormat(%d)", uint8(f))
 	}
 }
-
-// int8Headroom is the slack Rebuild leaves between a column's current
-// max |w| and the saturation point, so training drift keeps resolving
-// until the next Rebuild.
-const int8Headroom = 2.0
 
 // Mirror is a column-major copy of a layer's weight matrix: Col(i) is the
 // contiguous slice of every neuron's weight for input i — the operand the
@@ -190,9 +177,6 @@ type Mirror struct {
 	format  MirrorFormat
 	t       []float32 // fp32:  t[i*out+j] = w[j][i]
 	t16     []uint16  // bf16:  same layout, bfloat16 cells
-	t8      []int8    // int8:  same layout, quantized cells
-	scale   []float32 // int8: per-column dequantization scale
-	inv     []float32 // int8: per-column 1/scale for writes
 }
 
 // NewMirror allocates an unfilled exact (fp32) in×out mirror; call
@@ -220,16 +204,6 @@ func NewMirrorFormat(in, out int, format MirrorFormat, ar *arena.Arena) *Mirror 
 		} else {
 			m.t16 = make([]uint16, n)
 		}
-	case MirrorInt8:
-		if ar != nil {
-			m.t8 = ar.AllocInt8(n)
-			m.scale = ar.AllocAligned(in)
-			m.inv = ar.AllocAligned(in)
-		} else {
-			m.t8 = make([]int8, n)
-			m.scale = make([]float32, in)
-			m.inv = make([]float32, in)
-		}
 	default:
 		panic(fmt.Sprintf("kernels: unknown mirror format %v", format))
 	}
@@ -254,15 +228,6 @@ func (m *Mirror) Set(j, i int32, v float32) {
 		m.t[int(i)*m.out+int(j)] = v
 	case MirrorBF16:
 		m.t16[int(i)*m.out+int(j)] = vecmath.BF16FromF32(v)
-	case MirrorInt8:
-		q := v * m.inv[i]
-		switch {
-		case q > 127:
-			q = 127
-		case q < -127:
-			q = -127
-		}
-		m.t8[int(i)*m.out+int(j)] = int8(roundHalfAway(q))
 	}
 }
 
@@ -273,24 +238,14 @@ func (m *Mirror) At(j, i int32) float32 {
 	switch m.format {
 	case MirrorBF16:
 		return vecmath.F32FromBF16(m.t16[off])
-	case MirrorInt8:
-		return float32(m.t8[off]) * m.scale[i]
 	default:
 		return m.t[off]
 	}
 }
 
-func roundHalfAway(q float32) int32 {
-	if q >= 0 {
-		return int32(q + 0.5)
-	}
-	return int32(q - 0.5)
-}
-
 // Rebuild repopulates the mirror from neuron-major rows (len(rows) = out,
 // each of length in). Used at initialization and after bulk weight
-// restores (model loads). Int8 mirrors re-derive each column's scale here
-// from its max |w| with 2x headroom.
+// restores (model loads).
 func (m *Mirror) Rebuild(rows [][]float32) {
 	if len(rows) != m.out {
 		panic(fmt.Sprintf("kernels: Rebuild with %d rows, mirror has %d", len(rows), m.out))
@@ -298,25 +253,6 @@ func (m *Mirror) Rebuild(rows [][]float32) {
 	for j, row := range rows {
 		if len(row) < m.in {
 			panic(fmt.Sprintf("kernels: Rebuild row %d has %d weights, mirror fan-in is %d", j, len(row), m.in))
-		}
-	}
-	if m.format == MirrorInt8 {
-		for i := 0; i < m.in; i++ {
-			var maxAbs float32
-			for _, row := range rows {
-				a := row[i]
-				if a < 0 {
-					a = -a
-				}
-				if a > maxAbs {
-					maxAbs = a
-				}
-			}
-			if maxAbs == 0 {
-				maxAbs = 1e-8
-			}
-			m.scale[i] = maxAbs * int8Headroom / 127
-			m.inv[i] = 1 / m.scale[i]
 		}
 	}
 	for j, row := range rows {
@@ -398,11 +334,6 @@ func ScatterForward(dst []float32, m *Mirror, b []float32, inIds []int32, inVals
 		for t, i := range inIds {
 			off := int(i) * m.out
 			vecmath.AxpyBF16(inVals[t], m.t16[off:off+m.out:off+m.out], dst)
-		}
-	case MirrorInt8:
-		for t, i := range inIds {
-			off := int(i) * m.out
-			vecmath.AxpyInt8(inVals[t]*m.scale[i], m.t8[off:off+m.out:off+m.out], dst)
 		}
 	default:
 		for t, i := range inIds {

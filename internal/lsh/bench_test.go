@@ -59,7 +59,7 @@ func BenchmarkHashDense(b *testing.B) {
 
 // BenchmarkHashDenseRows measures the batched rebuild-side entry point
 // over a full row block (benchRows rows per op) — the flat-slab,
-// function-major kernel the incremental rebuild feeds its dirty chunks
+// function-major kernel background rebuilds feed their weight snapshots
 // to. Compare per-row throughput against BenchmarkHashDense.
 func BenchmarkHashDenseRows(b *testing.B) {
 	block := benchBlock(benchRows)

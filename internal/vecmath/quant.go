@@ -4,12 +4,11 @@ import "math"
 
 // Quantized row kernels. The scatter-form forward streams contiguous
 // column slices of a weight mirror (internal/kernels); storing that mirror
-// in BF16 or int8 halves or quarters the bytes each Axpy moves, which is
+// in BF16 halves the bytes each Axpy moves, which is
 // what the follow-up paper "Accelerating SLIDE Deep Learning on Modern
 // CPUs" (MLSys 2021) reports as the second big lever after layout. The
-// kernels here are the mirror formats' decode+multiply-accumulate loops;
-// the formats themselves (per-column scales, dual-write coherence) live in
-// internal/kernels.
+// kernels here are the mirror format's decode+multiply-accumulate loops;
+// the format itself (dual-write coherence) lives in internal/kernels.
 
 // BF16FromF32 converts a float32 to bfloat16 (the high 16 bits of the
 // IEEE-754 encoding) with round-to-nearest-even. NaNs are quieted rather
@@ -74,27 +73,5 @@ func axpyBF16Unrolled(alpha float32, x []uint16, y []float32) {
 	}
 	for i := n; i < len(x); i++ {
 		y[i] += alpha * math.Float32frombits(uint32(x[i])<<16)
-	}
-}
-
-// AxpyInt8 computes y += alpha*x element-wise over an int8 x. The caller
-// folds the column's dequantization scale into alpha, so the loop is one
-// int→float convert and one FMA per element at a quarter of the fp32
-// bytes. The slices must have equal length.
-func AxpyInt8(alpha float32, x []int8, y []float32) {
-	if len(x) != len(y) {
-		panic("vecmath: AxpyInt8 length mismatch")
-	}
-	n := len(x) &^ 3
-	for i := 0; i < n; i += 4 {
-		xx := x[i : i+4 : i+4]
-		yy := y[i : i+4 : i+4]
-		yy[0] += alpha * float32(xx[0])
-		yy[1] += alpha * float32(xx[1])
-		yy[2] += alpha * float32(xx[2])
-		yy[3] += alpha * float32(xx[3])
-	}
-	for i := n; i < len(x); i++ {
-		y[i] += alpha * float32(x[i])
 	}
 }

@@ -124,31 +124,6 @@ func TestAxpyBF16VariantsAgree(t *testing.T) {
 	}
 }
 
-// TestAxpyInt8MatchesReference: alpha carries the dequantization scale, so
-// the kernel is y[i] += alpha*x[i] over int8 cells.
-func TestAxpyInt8MatchesReference(t *testing.T) {
-	r := rng.New(13)
-	for _, n := range []int{0, 1, 3, 4, 5, 100} {
-		x := make([]int8, n)
-		y := make([]float32, n)
-		for i := range x {
-			x[i] = int8(r.Intn(255) - 127)
-			y[i] = r.NormFloat32()
-		}
-		want := append([]float32(nil), y...)
-		const alpha = 0.031
-		for i := range want {
-			want[i] += alpha * float32(x[i])
-		}
-		AxpyInt8(alpha, x, y)
-		for i := range want {
-			if y[i] != want[i] {
-				t.Fatalf("n=%d i=%d: got %v want %v", n, i, y[i], want[i])
-			}
-		}
-	}
-}
-
 func TestQuantAxpyLengthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -189,21 +164,6 @@ func BenchmarkAxpyBF16Col4096(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		AxpyBF16(0.5, x, y)
-	}
-	benchSink += y[0]
-}
-
-func BenchmarkAxpyInt8Col4096(b *testing.B) {
-	r := rng.New(6)
-	x := make([]int8, 4096)
-	y := make([]float32, 4096)
-	for i := range x {
-		x[i] = int8(r.Intn(255) - 127)
-	}
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AxpyInt8(0.01, x, y)
 	}
 	benchSink += y[0]
 }

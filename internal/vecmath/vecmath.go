@@ -320,19 +320,6 @@ func Softmax(x []float32) {
 	Scale(inv, x)
 }
 
-// LogSumExp returns log(sum_i exp(x_i)) computed stably in float64.
-func LogSumExp(x []float32) float32 {
-	if len(x) == 0 {
-		return float32(math.Inf(-1))
-	}
-	m := Max(x)
-	var sum float64
-	for _, v := range x {
-		sum += math.Exp(float64(v - m))
-	}
-	return m + float32(math.Log(sum))
-}
-
 // ReLU overwrites x with max(x, 0).
 func ReLU(x []float32) {
 	for i, v := range x {
@@ -349,14 +336,4 @@ func Norm2(x []float32) float32 {
 		s += float64(v) * float64(v)
 	}
 	return float32(math.Sqrt(s))
-}
-
-// CosineSim returns the cosine similarity of a and b, or 0 if either has
-// zero norm. The slices must have equal length.
-func CosineSim(a, b []float32) float32 {
-	na, nb := Norm2(a), Norm2(b)
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return Dot(a, b) / (na * nb)
 }

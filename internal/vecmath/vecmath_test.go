@@ -255,18 +255,6 @@ func TestSoftmaxStability(t *testing.T) {
 	}
 }
 
-func TestLogSumExp(t *testing.T) {
-	x := []float32{1, 2, 3}
-	naive := math.Log(math.Exp(1) + math.Exp(2) + math.Exp(3))
-	if !almostEq(float64(LogSumExp(x)), naive, 1e-5) {
-		t.Fatalf("LogSumExp = %v, want %v", LogSumExp(x), naive)
-	}
-	big := []float32{10000, 10000}
-	if v := float64(LogSumExp(big)); math.IsInf(v, 0) || math.Abs(v-(10000+math.Log(2))) > 1 {
-		t.Fatalf("LogSumExp unstable: %v", v)
-	}
-}
-
 func TestReLU(t *testing.T) {
 	x := []float32{-1, 0, 2, -0.5}
 	ReLU(x)
@@ -281,20 +269,6 @@ func TestReLU(t *testing.T) {
 func TestArgMaxTieBreak(t *testing.T) {
 	if got := ArgMax([]float32{1, 3, 3, 2}); got != 1 {
 		t.Fatalf("ArgMax tie = %d, want lowest index 1", got)
-	}
-}
-
-func TestCosineSim(t *testing.T) {
-	a := []float32{1, 0}
-	b := []float32{0, 1}
-	if v := CosineSim(a, a); !almostEq(float64(v), 1, 1e-6) {
-		t.Fatalf("cos(a,a) = %v", v)
-	}
-	if v := CosineSim(a, b); !almostEq(float64(v), 0, 1e-6) {
-		t.Fatalf("cos(a,b) = %v", v)
-	}
-	if v := CosineSim(a, []float32{0, 0}); v != 0 {
-		t.Fatalf("cos with zero vector = %v, want 0", v)
 	}
 }
 
