@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/kernels"
 	"repro/internal/lsh"
 	"repro/internal/optim"
 	"repro/internal/sampling"
@@ -116,30 +117,28 @@ func requireNetsBitIdentical(t *testing.T, a, b *Network, context string) {
 }
 
 // TestExtractApplyMatchesFusedAdam is the refactor's anchor: the
-// extract-then-apply pipeline (applyAdamBatch via ExtractDelta/ApplyDelta)
-// must leave weights, biases and Adam moments bit-for-bit identical to the
-// old fused path (applyAdamFused) across multiple batches.
+// extract-then-apply pipeline (sharded backward, then applyAdamBatch via
+// ExtractDelta/ApplyDelta) must leave weights, biases and Adam moments
+// bit-for-bit identical to the old fused path (legacy backward into the
+// shared gW buffers, then applyAdamFused) across multiple batches, and
+// both must equal the adam/extract-apply engine golden.
 func TestExtractApplyMatchesFusedAdam(t *testing.T) {
-	const classes = 128
-	ds := deltaTestDataset(t, classes)
-	cfg := deltaTestConfig(classes, optim.ModeHogwild)
-	// applyAdamFused consumes the shared gW buffers, which only the
-	// legacy (unsharded) backward fills.
-	cfg.Kernels = KernelLegacy
-	fused := mustNet(t, cfg)
-	split := mustNet(t, cfg)
-	stF := mustState(t, fused, 99)
-	stS := mustState(t, split, 99)
+	const batches = 6
+	split := adamGoldenRun(t, KernelAuto, batches)
 
-	const batchSize = 32
-	for b := 0; b < 6; b++ {
-		batch := ds.Train[b*batchSize : (b+1)*batchSize]
-		alpha := fused.adam.Alpha(int64(b) + 1)
-		invB := float32(1.0 / batchSize)
-		runManualBatch(t, fused, stF, batch, nil)
-		runManualBatch(t, split, stS, batch, nil)
-		fused.applyAdamFused(alpha, invB, 3)
-		split.applyAdamBatch(alpha, invB, 3)
+	ds := deltaTestDataset(t, 128)
+	fused := mustNet(t, adamGoldenConfig(KernelAuto))
+	stF := mustState(t, fused, 99)
+	for b := 0; b < batches; b++ {
+		batch := ds.Train[b*adamGoldenBatch : (b+1)*adamGoldenBatch]
+		fused.beginBatch()
+		for i := range batch {
+			fused.forwardElem(stF, batch[i].Features, batch[i].Labels, modeTrain)
+			restore := flipForm(fused, kernels.FormLegacy)
+			fused.backwardElem(stF, batch[i].Features, batch[i].Labels, nil)
+			restore()
+		}
+		fused.applyAdamFused(fused.adam.Alpha(int64(b)+1), 1.0/adamGoldenBatch, 3)
 	}
 	requireNetsBitIdentical(t, fused, split, "after 6 batches")
 	if fused.touchedWeights != split.touchedWeights {
@@ -148,6 +147,8 @@ func TestExtractApplyMatchesFusedAdam(t *testing.T) {
 	if fused.touchedWeights == 0 {
 		t.Fatal("no gradient cells were applied; test is vacuous")
 	}
+	requireEngineGolden(t, "adam/extract-apply", netStateDigest(split))
+	requireEngineGolden(t, "adam/extract-apply", netStateDigest(fused))
 }
 
 // TestExtractDeltaDrainsBuffers: extraction consumes the gradient — the

@@ -103,45 +103,36 @@ func relDiff(a, b float32) float64 {
 }
 
 // TestKernelForwardEquivalence runs identical inputs through networks
-// that differ only in kernel mode and requires the active sets to match
-// exactly and the activations to agree within 1e-5.
+// that differ only in kernel mode, pins each mode's results to its engine
+// golden, and requires every mode's active sets to match the reference
+// exactly and its activations to agree within 1e-5.
 func TestKernelForwardEquivalence(t *testing.T) {
+	const ref = KernelLegacy
 	for name, cfg := range equivArchs() {
 		for _, mode := range []forwardMode{modeTrain, modeEvalSampled, modeEvalFull} {
 			t.Run(fmt.Sprintf("%s/mode%d", name, mode), func(t *testing.T) {
-				nets := map[KernelMode]*Network{}
-				states := map[KernelMode]*elemState{}
-				for _, km := range []KernelMode{KernelLegacy, KernelAuto, KernelGather, KernelScatter} {
-					c := cfg
-					c.Kernels = km
-					n, err := NewNetwork(c)
-					if err != nil {
-						t.Fatal(err)
-					}
-					st, err := newElemState(n, 77, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					nets[km], states[km] = n, st
+				outs := map[KernelMode][]map[int32]float32{}
+				record := func(km KernelMode) func(int, *elemState) {
+					return func(_ int, st *elemState) { outs[km] = append(outs[km], outMap(st)) }
 				}
-				labels := []int32{1, 5}
-				for xi, x := range equivInputs(cfg.InputDim) {
-					ref := nets[KernelLegacy]
-					ref.forwardElem(states[KernelLegacy], x, labels, mode)
-					want := outMap(states[KernelLegacy])
-					for _, km := range []KernelMode{KernelAuto, KernelGather, KernelScatter} {
-						nets[km].forwardElem(states[km], x, labels, mode)
-						got := outMap(states[km])
+				goldenForwardRun(t, cfg, ref, mode, record(ref))
+				for _, km := range goldenForwardKernels {
+					got := goldenForwardRun(t, cfg, km, mode, record(km))
+					requireEngineGolden(t, goldenForwardKey(name, mode, km), got)
+				}
+				for xi, want := range outs[ref] {
+					for _, km := range goldenForwardKernels {
+						got := outs[km][xi]
 						if len(got) != len(want) {
-							t.Fatalf("input %d, %v: active set size %d, legacy %d", xi, km, len(got), len(want))
+							t.Fatalf("input %d, %v: active set size %d, %v %d", xi, km, len(got), ref, len(want))
 						}
 						for j, wv := range want {
 							gv, ok := got[j]
 							if !ok {
-								t.Fatalf("input %d, %v: neuron %d active under legacy only", xi, km, j)
+								t.Fatalf("input %d, %v: neuron %d active under %v only", xi, km, j, ref)
 							}
 							if d := relDiff(gv, wv); d > 1e-5 {
-								t.Fatalf("input %d, %v: neuron %d = %v, legacy %v (rel %.2g)", xi, km, j, gv, wv, d)
+								t.Fatalf("input %d, %v: neuron %d = %v, %v %v (rel %.2g)", xi, km, j, gv, ref, wv, d)
 							}
 						}
 					}
@@ -151,45 +142,22 @@ func TestKernelForwardEquivalence(t *testing.T) {
 	}
 }
 
-// TestKernelBackwardEquivalence runs one element's forward+backward under
-// each kernel mode and compares the extracted gradient deltas: identical
-// touched cells, values within 1e-5.
+// TestKernelBackwardEquivalence runs one element's forward+backward per
+// input and compares the extracted gradient deltas: KernelAuto's must
+// equal its engine golden and carry the reference mode's touched cells
+// with values within 1e-5.
 func TestKernelBackwardEquivalence(t *testing.T) {
+	const ref = KernelLegacy
 	for name, cfg := range equivArchs() {
 		t.Run(name, func(t *testing.T) {
-			type run struct {
-				n  *Network
-				st *elemState
-			}
-			runs := map[KernelMode]run{}
-			for _, km := range []KernelMode{KernelLegacy, KernelAuto} {
-				c := cfg
-				c.Kernels = km
-				n, err := NewNetwork(c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				st, err := newElemState(n, 31, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				runs[km] = run{n, st}
-			}
-			labels := []int32{2, 9}
-			for xi, x := range equivInputs(cfg.InputDim) {
-				var deltas map[KernelMode]*SparseDelta
-				deltas = map[KernelMode]*SparseDelta{}
-				for km, r := range runs {
-					r.n.beginBatch()
-					r.n.forwardElem(r.st, x, labels, modeTrain)
-					r.n.backwardElem(r.st, x, labels, nil)
-					deltas[km] = r.n.ExtractDelta(nil, 1)
-				}
-				want, got := deltas[KernelLegacy], deltas[KernelAuto]
+			wants := goldenBackwardRun(t, cfg, ref)
+			for xi, got := range goldenBackwardRun(t, cfg, KernelAuto) {
+				requireEngineGolden(t, goldenBackwardKey(name, xi), deltaDigest(got))
+				want := wants[xi]
 				for li := range want.Layers {
 					wl, gl := &want.Layers[li], &got.Layers[li]
 					if len(wl.Rows) != len(gl.Rows) {
-						t.Fatalf("input %d layer %d: %d touched rows, legacy %d", xi, li, len(gl.Rows), len(wl.Rows))
+						t.Fatalf("input %d layer %d: %d touched rows, %v %d", xi, li, len(gl.Rows), ref, len(wl.Rows))
 					}
 					for r := range wl.Rows {
 						if wl.Rows[r] != gl.Rows[r] {
@@ -200,7 +168,7 @@ func TestKernelBackwardEquivalence(t *testing.T) {
 						}
 					}
 					if len(wl.Cols) != len(gl.Cols) {
-						t.Fatalf("input %d layer %d: %d touched cells, legacy %d", xi, li, len(gl.Cols), len(wl.Cols))
+						t.Fatalf("input %d layer %d: %d touched cells, %v %d", xi, li, len(gl.Cols), ref, len(wl.Cols))
 					}
 					for k := range wl.Cols {
 						if wl.Cols[k] != gl.Cols[k] {

@@ -61,6 +61,8 @@ func TestShardedBackwardMatchesLegacyBitwise(t *testing.T) {
 				restore()
 			}
 			requireNetsBitIdentical(t, sharded, legacy, "sharded vs legacy backward")
+			requireEngineGolden(t, "adam/sharded-hogwild", netStateDigest(sharded))
+			requireEngineGolden(t, "adam/sharded-hogwild", netStateDigest(legacy))
 			if sharded.touchedWeights != legacy.touchedWeights {
 				t.Fatalf("touchedWeights: sharded %d != legacy %d", sharded.touchedWeights, legacy.touchedWeights)
 			}
@@ -73,27 +75,10 @@ func TestShardedBackwardMatchesLegacyBitwise(t *testing.T) {
 
 // TestBatchSyncShardedMatchesLegacyReplay: the id-sharded BatchSync replay
 // into backShards must extract the bit-identical SparseDelta to the legacy
-// shared-buffer replay of the same captured records.
+// shared-buffer replay of the same captured records, and both must equal
+// the batchsync/replay engine golden.
 func TestBatchSyncShardedMatchesLegacyReplay(t *testing.T) {
-	const classes = 96
-	ds := deltaTestDataset(t, classes)
-	cfg := deltaTestConfig(classes, optim.ModeBatchSync)
-	cfg.Kernels = KernelGather
-	n := mustNet(t, cfg)
-	st := mustState(t, n, 42)
-
-	const batchSize = 24
-	batch := ds.Train[:batchSize]
-	records := make([]*elemRecord, batchSize)
-	for i := range records {
-		records[i] = &elemRecord{}
-	}
-	n.beginBatch()
-	for i := range batch {
-		n.forwardElem(st, batch[i].Features, batch[i].Labels, modeTrain)
-		n.backwardElem(st, batch[i].Features, batch[i].Labels, records[i])
-	}
-
+	n, records := batchSyncGoldenRecords(t)
 	n.accumulateBatchSync(records, 3)
 	fromShards := n.ExtractDelta(nil, 2).Clone()
 
@@ -111,6 +96,8 @@ func TestBatchSyncShardedMatchesLegacyReplay(t *testing.T) {
 	if fromShards.Cells() == 0 {
 		t.Fatal("empty delta; test is vacuous")
 	}
+	requireEngineGolden(t, "batchsync/replay", deltaDigest(fromShards))
+	requireEngineGolden(t, "batchsync/replay", deltaDigest(fromBuffers))
 }
 
 // TestBatchSyncShardedThreadCountInvariant: with id-sharded replay each
