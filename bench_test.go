@@ -358,11 +358,11 @@ func BenchmarkTable4Arena(b *testing.B) {
 	}
 }
 
-// BenchmarkAblUpdateModes compares the three gradient write disciplines
-// (§3.1 design-choice ablation).
+// BenchmarkAblUpdateModes compares the two gradient update modes (§3.1
+// design-choice ablation).
 func BenchmarkAblUpdateModes(b *testing.B) {
 	ds := getBenchDS(b)
-	for _, mode := range []optim.UpdateMode{optim.ModeHogwild, optim.ModeAtomic, optim.ModeBatchSync} {
+	for _, mode := range []optim.UpdateMode{optim.ModeHogwild, optim.ModeBatchSync} {
 		b.Run(mode.String(), func(b *testing.B) {
 			cfg := benchSlideConfig(ds)
 			cfg.UpdateMode = mode

@@ -7,9 +7,10 @@ package core
 const colTrackThreshold = 512
 
 // beginBatch advances every layer's batch epoch, invalidating the touched
-// neuron/column stamps in O(1). On the rare epoch wrap the layer stamps
-// and every registered backward shard's stamps are cleared, since stale
-// stamps could otherwise collide with re-issued epoch values.
+// neuron/column stamps and the backward shards in O(1). On the rare epoch
+// wrap the layer stamps and every registered backward shard's stamps are
+// cleared, since stale stamps could otherwise collide with re-issued
+// epoch values.
 func (n *Network) beginBatch() {
 	wrapped := false
 	for _, l := range n.layers {
@@ -33,14 +34,12 @@ func (n *Network) beginBatch() {
 // applyAdamBatch performs the per-batch Adam step over exactly the
 // weights that accumulated gradient: touched neurons' rows restricted to
 // touched input columns (§3.1: "the fraction of weights that needs to be
-// updated is s² only"). Since the sparse-gradient pipeline refactor it is
-// extract-then-apply: the batch gradient is first drained into an
-// explicit SparseDelta (the §6 distributed-exchange payload, reused
-// scratch) and the Adam step then runs over exactly the delta's cells.
-// The two halves are bit-for-bit the old fused path split in two —
-// applyAdamFused below is kept as the equivalence-test reference — and
-// the split is what lets data-parallel replicas exchange the delta
-// between extract and apply (TrainConfig.Exchanger).
+// updated is s² only"). It is extract-then-apply: the workers' gradient
+// shards are first folded into an explicit SparseDelta (the §6
+// distributed-exchange payload, reused scratch) and the Adam step then
+// runs over exactly the delta's cells. The split is what lets
+// data-parallel replicas exchange the delta between extract and apply
+// (TrainConfig.Exchanger).
 //
 // The delta's cell count accumulates into n.touchedWeights, surfaced as
 // TrainResult.TouchedPerIter and measured by the dist-comm experiment.
@@ -51,67 +50,6 @@ func (n *Network) applyAdamBatch(alpha, invB float32, workers int) {
 	for li, l := range n.layers {
 		l.ApplyDelta(n.adam, &d.Layers[li], alpha, invB, workers)
 	}
-}
-
-// applyAdamFused is the pre-SparseDelta fused accumulate-and-step path.
-// It is no longer used by training — applyAdamBatch goes through
-// ExtractDelta/ApplyDelta — but is kept as the bit-for-bit reference the
-// extract/apply equivalence test (TestExtractApplyMatchesFusedAdam)
-// compares against.
-func (n *Network) applyAdamFused(alpha, invB float32, workers int) {
-	for _, l := range n.layers {
-		n.touchedWeights += l.applyAdamFused(n, alpha, invB, workers)
-	}
-}
-
-func (l *Layer) applyAdamFused(n *Network, alpha, invB float32, workers int) int64 {
-	epoch := l.batchEpoch
-	cols := l.touchedColumns(workers)
-	adam := n.adam
-	counts := make([]int64, workers)
-	parallelIndexed(workers, l.out, func(wk, lo, hi int) {
-		var applied int64
-		for j := lo; j < hi; j++ {
-			if l.touched[j] != epoch {
-				continue
-			}
-			w, m, v, g := l.w[j], l.mW[j], l.vW[j], l.gW[j]
-			if cols == nil {
-				for i := range g {
-					if gi := g[i]; gi != 0 {
-						adam.Step1(&w[i], &m[i], &v[i], gi*invB, alpha)
-						if l.mirror != nil {
-							l.mirror.Set(int32(j), int32(i), w[i])
-						}
-						g[i] = 0
-						applied++
-					}
-				}
-			} else {
-				for _, i := range cols {
-					if gi := g[i]; gi != 0 {
-						adam.Step1(&w[i], &m[i], &v[i], gi*invB, alpha)
-						if l.mirror != nil {
-							l.mirror.Set(int32(j), i, w[i])
-						}
-						g[i] = 0
-						applied++
-					}
-				}
-			}
-			if gb := l.gB[j]; gb != 0 {
-				adam.Step1(&l.b[j], &l.mB[j], &l.vB[j], gb*invB, alpha)
-				l.gB[j] = 0
-				applied++
-			}
-		}
-		counts[wk] = applied
-	})
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	return total
 }
 
 // touchedColumns rebuilds the per-batch touched-column list from the

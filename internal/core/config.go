@@ -1,16 +1,18 @@
 // Package core implements the SLIDE network (§3 of the paper): layers of
 // neurons with per-layer LSH hash tables, adaptive active-neuron sampling
 // in the forward pass, sparse message-passing backpropagation touching
-// only active neurons and weights, HOGWILD-style asynchronous gradient
-// updates across a batch, and exponential-decay hash-table rebuilds.
+// only active neurons and weights, HOGWILD-style uncoordinated gradient
+// accumulation across a batch, and exponential-decay hash-table rebuilds.
 //
 // The reference system is neuron-object-centric (Fig. 2): every neuron
 // owns batch-length activation/gradient/active arrays. This implementation
 // keeps the identical information keyed the other way — each batch element
 // (one goroutine's work item) owns its active-id list, activations and
-// gradients — which preserves the paper's thread independence argument
-// (state is private per element, weight updates are the only shared
-// writes) while being the cache-friendly layout in Go.
+// gradients, and each worker owns per-layer gradient shards — which
+// preserves the paper's thread independence argument (no worker writes
+// state another reads during the batch) while being the cache-friendly
+// layout in Go. Weights move only at the batch boundary, where the shards
+// are folded into a SparseDelta and one Adam step is applied over it.
 package core
 
 import (
@@ -24,27 +26,36 @@ import (
 	"repro/internal/sampling"
 )
 
-// KernelMode selects the forward/backward kernel engine
+// KernelMode selects the forward kernel engine's planning policy
 // (internal/kernels). The zero value is the density-adaptive engine; the
 // other modes pin one form, for equivalence tests, benchmarks and the
-// kernels experiment's ablation.
+// kernels experiment. The values are serialized in model files, so each
+// keeps its number; 1 is retired (see retiredKernelMode).
 type KernelMode int
 
 const (
 	// KernelAuto plans each pass from the measured input density:
 	// gather for sampled/dense-input layers, scatter for mirrored dense
 	// layers on sparse inputs below the density crossover.
-	KernelAuto KernelMode = iota
-	// KernelLegacy runs the pre-engine per-neuron reference path —
-	// unsorted active ids, unfused scalar row loops. Kept alive as the
-	// equivalence-test baseline, the same role applyAdamFused plays for
-	// the optimizer.
-	KernelLegacy
+	KernelAuto KernelMode = 0
 	// KernelGather forces the gather form everywhere.
-	KernelGather
+	KernelGather KernelMode = 2
 	// KernelScatter forces the scatter form wherever a mirror exists
 	// (elsewhere it degrades to gather — the form is incomputable).
-	KernelScatter
+	KernelScatter KernelMode = 3
+)
+
+// Enum values retired from the serialized Config. Model files written
+// while they existed may still carry them: LoadModel maps each to the mode
+// that replaced it, and validate rejects them in new configs.
+const (
+	// retiredKernelMode was the per-neuron reference forward/backward,
+	// replaced by KernelAuto.
+	retiredKernelMode KernelMode = 1
+	// retiredUpdateMode was CAS gradient adds, replaced by
+	// optim.ModeHogwild: with per-worker gradient shards both ran the
+	// same backward.
+	retiredUpdateMode optim.UpdateMode = 1
 )
 
 // String returns the configuration name of the kernel mode.
@@ -52,8 +63,6 @@ func (k KernelMode) String() string {
 	switch k {
 	case KernelAuto:
 		return "auto"
-	case KernelLegacy:
-		return "legacy"
 	case KernelGather:
 		return "gather"
 	case KernelScatter:
@@ -67,8 +76,6 @@ func (k KernelMode) String() string {
 func (k KernelMode) kernelConfig() kernels.Config {
 	var c kernels.Config
 	switch k {
-	case KernelLegacy:
-		c.Force = kernels.FormLegacy
 	case KernelGather:
 		c.Force = kernels.FormGather
 	case KernelScatter:
@@ -208,8 +215,11 @@ type Config struct {
 	// Adam holds optimizer hyperparameters; a zero LR selects
 	// optim.NewAdam(0.001).
 	Adam optim.Adam
-	// UpdateMode selects the gradient write discipline (§3.1); the
-	// default is the paper's HOGWILD asynchronous updates.
+	// UpdateMode selects how a batch's gradient is accumulated (§3.1):
+	// the default is the paper's HOGWILD, each worker writing its
+	// elements' gradients with no coordination; ModeBatchSync replays
+	// them after the batch, id-sharded, for thread-count-independent
+	// results.
 	UpdateMode optim.UpdateMode
 
 	// RebuildN0 is the initial hash-table rebuild period in iterations
@@ -224,11 +234,11 @@ type Config struct {
 	Layout  Layout
 	PadRows bool
 
-	// Kernels selects the forward/backward kernel engine form. The
-	// default (KernelAuto) picks gather or scatter per pass from the
-	// measured input density; KernelLegacy restores the per-neuron
-	// reference path. Serialized with the model config; files written
-	// before the field existed load as KernelAuto.
+	// Kernels selects the forward kernel form. The default (KernelAuto)
+	// picks gather or scatter per pass from the measured input density;
+	// KernelGather and KernelScatter pin one form. Serialized with the
+	// model config; files written before the field existed load as
+	// KernelAuto.
 	Kernels KernelMode
 
 	// ScatterCrossover pins the gather/scatter density crossover the
@@ -279,8 +289,19 @@ func (c Config) validate() error {
 	if len(c.Layers) == 0 {
 		return fmt.Errorf("core: at least one layer required")
 	}
-	if c.Kernels < KernelAuto || c.Kernels > KernelScatter {
+	switch c.Kernels {
+	case KernelAuto, KernelGather, KernelScatter:
+	case retiredKernelMode:
+		return fmt.Errorf("core: kernel mode 1 (the per-neuron reference path) is retired; use KernelAuto")
+	default:
 		return fmt.Errorf("core: unknown kernel mode %d", int(c.Kernels))
+	}
+	switch c.UpdateMode {
+	case optim.ModeHogwild, optim.ModeBatchSync:
+	case retiredUpdateMode:
+		return fmt.Errorf("core: update mode 1 (atomic) is retired; use ModeHogwild, which runs the same backward")
+	default:
+		return fmt.Errorf("core: unknown update mode %d", int(c.UpdateMode))
 	}
 	if c.ScatterCrossover < 0 || c.ScatterCrossover >= 1 {
 		return fmt.Errorf("core: ScatterCrossover must be in [0, 1), got %g", c.ScatterCrossover)
@@ -369,15 +390,15 @@ type TrainConfig struct {
 	// forward pass (the §6 communication made invisible): each batch
 	// extracts its delta and launches the exchange on a background
 	// goroutine, the next batch's forward runs concurrently — it reads
-	// weights and tables but never gW, and no weights step mid-flight —
-	// and the merged delta is applied at a barrier before that batch's
-	// backward pass. Forward passes therefore see weights one merged
-	// step stale (the classic one-batch pipeline delay); the exchange
-	// step sequence is unchanged, so overlapped and synchronous replicas
-	// may share a group and stay in lockstep. TrainResult.ExchangeNS
-	// then counts only the barrier time the forward failed to hide, with
-	// the overlapped remainder in ExchangeHiddenNS. Ignored without an
-	// Exchanger.
+	// weights and tables but never gradients, and no weights step
+	// mid-flight — and the merged delta is applied at a barrier before
+	// that batch's backward pass. Forward passes therefore see weights
+	// one merged step stale (the classic one-batch pipeline delay); the
+	// exchange step sequence is unchanged, so overlapped and synchronous
+	// replicas may share a group and stay in lockstep.
+	// TrainResult.ExchangeNS then counts only the barrier time the
+	// forward failed to hide, with the overlapped remainder in
+	// ExchangeHiddenNS. Ignored without an Exchanger.
 	OverlapExchange bool
 
 	// SkipFinalEval suppresses the evaluation Train normally runs at

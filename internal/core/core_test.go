@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/lsh"
@@ -28,16 +29,13 @@ func denseNetConfig(in, hidden, classes int, mode optim.UpdateMode) Config {
 
 // TestGradientCheck verifies the sparse message-passing backprop against
 // numerical differentiation of the cross-entropy loss on a tiny dense
-// network: the accumulated gradient gW must equal dLoss/dw to first
+// network: the gradient the production backward extracts (the sharded
+// accumulation, folded by ExtractDelta) must equal dLoss/dw to first
 // order. This pins the core algorithmic claim that the sparse update
 // computes true gradients.
 func TestGradientCheck(t *testing.T) {
 	const in, hidden, classes = 12, 6, 8
-	// Pin the legacy kernel path: the check reads the shared gW/gB
-	// buffers directly, which the sharded (fused) backward never writes.
-	cfg := denseNetConfig(in, hidden, classes, optim.ModeHogwild)
-	cfg.Kernels = KernelLegacy
-	n, err := NewNetwork(cfg)
+	n, err := NewNetwork(denseNetConfig(in, hidden, classes, optim.ModeHogwild))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,19 +58,16 @@ func TestGradientCheck(t *testing.T) {
 		return loss
 	}
 
-	// Accumulate the analytic gradient once.
+	// Extract the analytic gradient of one element once; bias cells are
+	// keyed at column -1.
 	n.beginBatch()
 	n.forwardElem(st, x, labels, modeTrain)
 	n.backwardElem(st, x, labels, nil)
+	grad := deltaAsMap(n.ExtractDelta(nil, 1))
 
 	check := func(layer, j, i int) {
 		l := n.layers[layer]
-		var analytic float64
-		if i < 0 {
-			analytic = float64(l.gB[j])
-		} else {
-			analytic = float64(l.gW[j][i])
-		}
+		analytic := grad[[3]int32{int32(layer), int32(j), int32(i)}]
 		const h = 1e-3
 		var p *float32
 		if i < 0 {
@@ -80,12 +75,17 @@ func TestGradientCheck(t *testing.T) {
 		} else {
 			p = &l.w[j][i]
 		}
+		// Perturb the row-major weight and re-derive the scatter form's
+		// mirror from it, so every kernel form sees the same weights.
+		lossWith := func(v float32) float64 {
+			*p = v
+			l.refreshMirror()
+			return lossAt()
+		}
 		orig := *p
-		*p = orig + h
-		up := lossAt()
-		*p = orig - h
-		down := lossAt()
-		*p = orig
+		up := lossWith(orig + h)
+		down := lossWith(orig - h)
+		lossWith(orig)
 		numeric := (up - down) / (2 * h)
 		if math.Abs(numeric-analytic) > 1e-2*math.Max(1, math.Abs(numeric)) {
 			t.Errorf("layer %d w[%d][%d]: numeric %.6f vs analytic %.6f", layer, j, i, numeric, analytic)
@@ -316,12 +316,12 @@ func TestPredictConsistency(t *testing.T) {
 	}
 }
 
-// TestUpdateModesAllLearn: the three write disciplines must all converge
-// on the tiny task (the paper's HOGWILD robustness claim).
+// TestUpdateModesAllLearn: both update modes must converge on the tiny
+// task (the paper's HOGWILD robustness claim).
 func TestUpdateModesAllLearn(t *testing.T) {
 	classes := 128
 	ds := tinyDataset(t, classes)
-	for _, mode := range []optim.UpdateMode{optim.ModeHogwild, optim.ModeAtomic, optim.ModeBatchSync} {
+	for _, mode := range []optim.UpdateMode{optim.ModeHogwild, optim.ModeBatchSync} {
 		cfg := tinyConfig(classes)
 		cfg.UpdateMode = mode
 		n, err := NewNetwork(cfg)
@@ -391,6 +391,21 @@ func TestConfigValidation(t *testing.T) {
 			Strategy: sampling.KindVanilla, Beta: 0},
 	}}); err == nil {
 		t.Error("vanilla strategy without Beta accepted")
+	}
+	// Retired enum values are rejected with an error naming the
+	// replacement; unknown ones are rejected too.
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{InputDim: 4, Layers: []LayerConfig{{Size: 4}}, Kernels: 1}, "KernelAuto"},
+		{Config{InputDim: 4, Layers: []LayerConfig{{Size: 4}}, UpdateMode: 1}, "ModeHogwild"},
+		{Config{InputDim: 4, Layers: []LayerConfig{{Size: 4}}, Kernels: 4}, "unknown kernel mode"},
+		{Config{InputDim: 4, Layers: []LayerConfig{{Size: 4}}, UpdateMode: 3}, "unknown update mode"},
+	} {
+		if _, err := NewNetwork(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Kernels=%d UpdateMode=%d: error %v, want one containing %q", tc.cfg.Kernels, tc.cfg.UpdateMode, err, tc.want)
+		}
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 // each row, the raw accumulated gradient sums, and the bias gradients.
 // This is exactly the s²-sparse payload §3.1 argues a batch produces and
 // §6 proposes shipping between data-parallel replicas ("communication
-// costs are minimal due to sparse gradients"): Layer.ExtractDelta drains
-// the gradient buffers into this form at a batch boundary, replicas
-// exchange and merge deltas (internal/dist), and Layer.ApplyDelta performs
-// the Adam step over exactly the delta's cells.
+// costs are minimal due to sparse gradients"): Network.ExtractDelta folds
+// the workers' gradient shards into this form at a batch boundary,
+// replicas exchange and merge deltas (internal/dist), and ApplyDelta
+// performs the Adam step over exactly the delta's cells.
 //
 // Values are raw sums, not batch averages: the consumer passes 1/B (or
 // 1/(B*shards) after a data-parallel merge) to ApplyDelta, so merging is a
@@ -39,8 +39,7 @@ type LayerDelta struct {
 	// Vals holds the raw accumulated gradient sums aligned with Cols.
 	Vals []float32
 	// Bias holds the raw bias gradient aligned with Rows; 0 means the
-	// row's bias accumulated no gradient and receives no step, matching
-	// the fused path's skip.
+	// row's bias accumulated no gradient and receives no step.
 	Bias []float32
 }
 
@@ -127,14 +126,11 @@ type ShardCounter interface {
 }
 
 // ExtractDelta drains the gradient accumulated since beginBatch into dst
-// (reused when non-nil) and returns it. On the fused kernel path the
-// gradient lives in per-worker backShards, folded here in fixed shard
-// order and consumed; on the legacy path the shared buffers are zeroed as
-// they are consumed and the touched stamps stay valid. Either way,
-// extract-then-ApplyDelta is bit-for-bit the fused applyAdamFused path
-// split in two whenever the accumulation itself was deterministic. Must
-// run at a batch boundary (no concurrent accumulate). workers <= 0
-// selects GOMAXPROCS.
+// (reused when non-nil) and returns it: each layer's per-worker
+// backShards are folded in fixed shard order and consumed, so a second
+// extract in the same batch is empty. A network whose backward has never
+// run has no shards and extracts an empty delta. Must run at a batch
+// boundary (no concurrent accumulate). workers <= 0 selects GOMAXPROCS.
 func (n *Network) ExtractDelta(dst *SparseDelta, workers int) *SparseDelta {
 	if workers <= 0 {
 		workers = defaultThreads()
@@ -143,13 +139,12 @@ func (n *Network) ExtractDelta(dst *SparseDelta, workers int) *SparseDelta {
 		dst = &SparseDelta{}
 	}
 	dst.reset(len(n.layers))
-	sharded := n.kern.Fused() && n.layerShards != nil
 	for li, l := range n.layers {
-		if sharded {
-			l.extractSharded(&dst.Layers[li], n.layerShards[li], workers)
-		} else {
-			l.ExtractDelta(&dst.Layers[li], workers)
+		var shards []*backShard
+		if n.layerShards != nil {
+			shards = n.layerShards[li]
 		}
+		l.extractSharded(&dst.Layers[li], shards, workers)
 	}
 	return dst
 }
@@ -221,98 +216,6 @@ func (l *Layer) checkDelta(ld *LayerDelta) error {
 	return nil
 }
 
-// ExtractDelta drains this layer's accumulated gradient into dst: touched
-// rows ascending, each row's non-zero gradient cells restricted to the
-// batch's touched columns (or the full row for small fan-in layers),
-// columns ascending. Consumed gW/gB cells are zeroed, exactly as the
-// fused path zeroes them.
-func (l *Layer) ExtractDelta(dst *LayerDelta, workers int) {
-	dst.reset()
-	rows := l.touchedRows(workers)
-	if len(rows) == 0 {
-		dst.RowOff = append(dst.RowOff, 0)
-		return
-	}
-	cols := l.touchedColumns(workers)
-
-	// Pass 1: count each row's non-zero cells so pass 2 can fill
-	// disjoint spans in parallel.
-	counts := make([]int32, len(rows))
-	parallelRange(workers, len(rows), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			g := l.gW[rows[r]]
-			var c int32
-			if cols == nil {
-				for _, gi := range g {
-					if gi != 0 {
-						c++
-					}
-				}
-			} else {
-				for _, i := range cols {
-					if g[i] != 0 {
-						c++
-					}
-				}
-			}
-			counts[r] = c
-		}
-	})
-
-	dst.Rows = append(dst.Rows, rows...)
-	if cap(dst.RowOff) < len(rows)+1 {
-		dst.RowOff = make([]int32, 0, len(rows)+1)
-	}
-	dst.RowOff = dst.RowOff[:len(rows)+1]
-	dst.RowOff[0] = 0
-	for r, c := range counts {
-		dst.RowOff[r+1] = dst.RowOff[r] + c
-	}
-	nnz := int(dst.RowOff[len(rows)])
-	if cap(dst.Cols) < nnz {
-		dst.Cols = make([]int32, nnz)
-	}
-	if cap(dst.Vals) < nnz {
-		dst.Vals = make([]float32, nnz)
-	}
-	dst.Cols = dst.Cols[:nnz]
-	dst.Vals = dst.Vals[:nnz]
-	if cap(dst.Bias) < len(rows) {
-		dst.Bias = make([]float32, len(rows))
-	}
-	dst.Bias = dst.Bias[:len(rows)]
-
-	// Pass 2: fill the spans and zero the buffers as they are consumed.
-	parallelRange(workers, len(rows), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			j := rows[r]
-			g := l.gW[j]
-			at := dst.RowOff[r]
-			if cols == nil {
-				for i, gi := range g {
-					if gi != 0 {
-						dst.Cols[at] = int32(i)
-						dst.Vals[at] = gi
-						g[i] = 0
-						at++
-					}
-				}
-			} else {
-				for _, i := range cols {
-					if gi := g[i]; gi != 0 {
-						dst.Cols[at] = i
-						dst.Vals[at] = gi
-						g[i] = 0
-						at++
-					}
-				}
-			}
-			dst.Bias[r] = l.gB[j]
-			l.gB[j] = 0
-		}
-	})
-}
-
 // touchedRows rebuilds the ascending list of rows touched this batch from
 // the neuron stamps.
 func (l *Layer) touchedRows(workers int) []int32 {
@@ -346,11 +249,10 @@ func scanStamps(stamps []uint32, epoch uint32, workers int, dst []int32) []int32
 
 // ApplyDelta runs one Adam step over exactly the delta's cells (gradient
 // Vals*invB) and non-zero biases, returning the number of cells stepped.
-// Work parallelizes over rows; each row has a single writer. Cell for
-// cell this is the identical arithmetic to the fused applyAdamFused path.
-// Layers carrying a column-major kernel mirror dual-write each stepped
-// cell into it, keeping the scatter-form forward operand coherent for one
-// extra store per touched weight.
+// Work parallelizes over rows; each row has a single writer. Layers
+// carrying a column-major kernel mirror dual-write each stepped cell into
+// it, keeping the scatter-form forward operand coherent for one extra
+// store per touched weight.
 func (l *Layer) ApplyDelta(adam optim.Adam, ld *LayerDelta, alpha, invB float32, workers int) int64 {
 	counts := make([]int64, max(workers, 1))
 	parallelIndexed(workers, len(ld.Rows), func(wk, lo, hi int) {

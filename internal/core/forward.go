@@ -141,16 +141,13 @@ func (n *Network) fallbackActive(st *elemState, li int) {
 //   - scatter: the full dense output accumulates one contiguous
 //     column-Axpy per input nonzero from the layer's column-major
 //     mirror; ls.vals doubles as the active-dense workspace.
-//   - legacy: the pre-engine per-neuron loop, unsorted and unfused, kept
-//     as the equivalence-test reference.
 func (n *Network) computeActivations(st *elemState, l *Layer, ls *layerState, inIds []int32, inVals []float32, inFull bool) {
 	form := n.kern.ForwardForm(len(inIds), l.in, inFull, l.mirror != nil)
 	st.work.Forms[form]++
 	relu := l.cfg.Activation == ActReLU
-	switch form {
-	case kernels.FormScatter:
+	if form == kernels.FormScatter {
 		kernels.ScatterForward(ls.vals, l.mirror, l.b, inIds, inVals, relu)
-	case kernels.FormGather:
+	} else {
 		ids := ls.ids
 		if ls.full {
 			ids = nil
@@ -158,47 +155,11 @@ func (n *Network) computeActivations(st *elemState, l *Layer, ls *layerState, in
 			slices.Sort(ids)
 		}
 		kernels.GatherForward(ls.vals, ids, l.w, l.b, inIds, inVals, inFull, relu)
-	default: // kernels.FormLegacy
-		computeActivationsLegacy(l, ls, inIds, inVals, inFull)
-		return // legacy applies its own non-linearity
 	}
-	switch l.cfg.Activation {
-	case ActSoftmax:
+	// ReLU is fused into the kernels above; linear is the identity.
+	if l.cfg.Activation == ActSoftmax {
 		vecmath.Softmax(ls.vals)
-	case ActReLU, ActLinear:
-		// ReLU is fused into the kernels above; linear is the identity.
 	}
-}
-
-// computeActivationsLegacy is the pre-engine per-neuron formulation — one
-// scattered sparse dot per active neuron over unsorted ids, activation
-// applied as a separate pass. No longer used by KernelAuto networks; it
-// survives as the bit-for-bit reference the kernel equivalence tests
-// compare gather and scatter against (the applyAdamFused pattern).
-func computeActivationsLegacy(l *Layer, ls *layerState, inIds []int32, inVals []float32, inFull bool) {
-	if ls.full {
-		for j := 0; j < l.out; j++ {
-			ls.vals[j] = preact(l, int32(j), inIds, inVals, inFull)
-		}
-	} else {
-		for a, j := range ls.ids {
-			ls.vals[a] = preact(l, j, inIds, inVals, inFull)
-		}
-	}
-	switch l.cfg.Activation {
-	case ActReLU:
-		vecmath.ReLU(ls.vals)
-	case ActSoftmax:
-		vecmath.Softmax(ls.vals)
-	case ActLinear:
-	}
-}
-
-func preact(l *Layer, j int32, inIds []int32, inVals []float32, inFull bool) float32 {
-	if inFull {
-		return l.b[j] + vecmath.Dot(l.w[j][:len(inVals)], inVals)
-	}
-	return l.b[j] + vecmath.SparseDot(inIds, inVals, l.w[j])
 }
 
 // outputDeltaAndLoss fills the output layer's delta with the softmax

@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+
+	"repro/internal/optim"
 )
 
 // Model serialization: a small custom binary format (the module builds
@@ -109,6 +112,14 @@ func LoadModel(r io.Reader) (*Network, error) {
 	if err := json.Unmarshal(cfgJSON, &cfg); err != nil {
 		return nil, fmt.Errorf("core: decoding model config: %w", err)
 	}
+	// Files saved while the retired enum values existed still carry them;
+	// map each to the mode that replaced it (see retiredKernelMode).
+	if cfg.Kernels == retiredKernelMode {
+		cfg.Kernels = KernelAuto
+	}
+	if cfg.UpdateMode == retiredUpdateMode {
+		cfg.UpdateMode = optim.ModeHogwild
+	}
 	// Defer the table build until the real weights are in place — the
 	// tables are a pure function of the weights, so hashing the random
 	// initialization would be thrown away.
@@ -144,8 +155,25 @@ func (n *Network) writeWeights(bw *bufio.Writer) error {
 }
 
 // readWeights restores what writeWeights wrote, validating shapes against
-// the receiver's layers.
+// the receiver's layers. Float runs decode through one reused byte buffer:
+// binary.Read would allocate a temporary per row, as much garbage as the
+// model itself, and that garbage would set a freshly loaded server's peak
+// resident memory.
 func (n *Network) readWeights(br *bufio.Reader) error {
+	var buf []byte
+	readFloats := func(dst []float32) error {
+		if cap(buf) < 4*len(dst) {
+			buf = make([]byte, 4*len(dst))
+		}
+		b := buf[:4*len(dst)]
+		if _, err := io.ReadFull(br, b); err != nil {
+			return err
+		}
+		for i := range dst {
+			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+		return nil
+	}
 	for li, l := range n.layers {
 		var meta [3]uint32
 		if err := binary.Read(br, binary.LittleEndian, &meta); err != nil {
@@ -155,11 +183,11 @@ func (n *Network) readWeights(br *bufio.Reader) error {
 			return fmt.Errorf("core: layer %d shape mismatch", li)
 		}
 		for j := 0; j < l.out; j++ {
-			if err := binary.Read(br, binary.LittleEndian, l.w[j]); err != nil {
+			if err := readFloats(l.w[j]); err != nil {
 				return err
 			}
 		}
-		if err := binary.Read(br, binary.LittleEndian, l.b[:l.out]); err != nil {
+		if err := readFloats(l.b[:l.out]); err != nil {
 			return err
 		}
 		// The column-major kernel mirror is derived from the rows just

@@ -3,7 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/optim"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -124,5 +128,72 @@ func TestLoadModelIgnoresRetiredFullRebuild(t *testing.T) {
 				t.Fatal("loaded tables differ from a fresh rebuild of the loaded weights")
 			}
 		})
+	}
+}
+
+// TestLoadModelMapsRetiredEnumValues: model files written while Config
+// could carry the per-neuron kernel mode or the atomic update mode (both
+// serialized as 1) must still load, with those values mapped to KernelAuto
+// and ModeHogwild, into a network whose tables and predictions equal the
+// unpatched file's.
+func TestLoadModelMapsRetiredEnumValues(t *testing.T) {
+	classes := 128
+	ds := tinyDataset(t, classes)
+	n, err := NewNetwork(tinyConfig(classes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Train(ds.Train, ds.Test, TrainConfig{Iterations: 10, Seed: 3, EvalEvery: 0}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := n.SaveModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.Bytes()
+	ref, err := LoadModel(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// v2 layout: 8-byte magic, uint32 config length, config JSON, weights.
+	cfgLen := binary.LittleEndian.Uint32(file[8:12])
+	cfgJSON, weights := string(file[12:12+cfgLen]), file[12+cfgLen:]
+	for _, key := range []string{`"Kernels":`, `"UpdateMode":`} {
+		at := strings.Index(cfgJSON, key+"0")
+		if at < 0 {
+			t.Fatalf("config JSON carries no %s0: %s", key, cfgJSON)
+		}
+		cfgJSON = cfgJSON[:at] + key + "1" + cfgJSON[at+len(key)+1:]
+	}
+	var old bytes.Buffer
+	old.Write(file[:8])
+	binary.Write(&old, binary.LittleEndian, uint32(len(cfgJSON)))
+	old.WriteString(cfgJSON)
+	old.Write(weights)
+
+	m, err := LoadModel(&old)
+	if err != nil {
+		t.Fatalf("LoadModel rejected a file carrying Kernels=1, UpdateMode=1: %v", err)
+	}
+	if got := m.Config(); got.Kernels != KernelAuto || got.UpdateMode != optim.ModeHogwild {
+		t.Fatalf("retired values mapped to Kernels=%v UpdateMode=%v, want auto and hogwild", got.Kernels, got.UpdateMode)
+	}
+	if !m.layers[1].Tables().Equal(ref.layers[1].Tables()) {
+		t.Fatal("tables differ from loading the unpatched file")
+	}
+	for i := 0; i < 20; i++ {
+		x := ds.Test[i].Features
+		ids1, sc1, err := ref.Predict(x, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids2, sc2, err := m.Predict(x, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(ids1, ids2) || !slices.Equal(sc1, sc2) {
+			t.Fatalf("example %d: predictions %v/%v, unpatched file %v/%v", i, ids2, sc2, ids1, sc1)
+		}
 	}
 }

@@ -13,7 +13,8 @@ import (
 // backward pass at a serving-shaped operating point (sparse features into
 // a mirrored 128-wide hidden layer, ~2% active output layer), per kernel
 // mode. CI runs these at -benchtime=1x as a smoke check; the kernels
-// harness experiment measures the same comparison end to end.
+// harness experiment measures forced-gather against the adaptive engine
+// end to end.
 
 // benchKernelNet builds the paper-shaped network at a benchable scale.
 func benchKernelNet(b *testing.B, km KernelMode) (*Network, *elemState, []dataset.Example) {
@@ -68,11 +69,9 @@ func benchForwardElem(b *testing.B, km KernelMode, mode forwardMode) {
 
 // Training-shaped forward (sampled output active set).
 func BenchmarkForwardTrainKernel(b *testing.B) { benchForwardElem(b, KernelAuto, modeTrain) }
-func BenchmarkForwardTrainLegacy(b *testing.B) { benchForwardElem(b, KernelLegacy, modeTrain) }
 
 // Exact-inference forward (full output layer).
 func BenchmarkForwardFullKernel(b *testing.B) { benchForwardElem(b, KernelAuto, modeEvalFull) }
-func BenchmarkForwardFullLegacy(b *testing.B) { benchForwardElem(b, KernelLegacy, modeEvalFull) }
 
 // BenchmarkForwardLayer0* isolate the mirrored input layer — the kernel
 // the gather→scatter rewrite targets: 64 sparse features into 128 dense
@@ -93,7 +92,6 @@ func benchForwardLayer0(b *testing.B, km KernelMode) {
 
 func BenchmarkForwardLayer0Scatter(b *testing.B) { benchForwardLayer0(b, KernelScatter) }
 func BenchmarkForwardLayer0Gather(b *testing.B)  { benchForwardLayer0(b, KernelGather) }
-func BenchmarkForwardLayer0Legacy(b *testing.B)  { benchForwardLayer0(b, KernelLegacy) }
 
 func benchBackwardElem(b *testing.B, km KernelMode) {
 	n, st, train := benchKernelNet(b, km)
@@ -107,10 +105,10 @@ func benchBackwardElem(b *testing.B, km KernelMode) {
 }
 
 func BenchmarkBackwardElemKernel(b *testing.B) { benchBackwardElem(b, KernelAuto) }
-func BenchmarkBackwardElemLegacy(b *testing.B) { benchBackwardElem(b, KernelLegacy) }
 
-// BenchmarkPredictKernelVsLegacy measures the end-to-end serving path
-// (pooled Predictor, exact top-k) under both engines at the bench shape.
+// BenchmarkPredictEngineKernel measures the end-to-end serving path
+// (pooled Predictor, exact top-k) under the adaptive engine at the bench
+// shape.
 func benchPredictEngine(b *testing.B, km KernelMode) {
 	n, _, train := benchKernelNet(b, km)
 	pred, err := n.NewPredictor()
@@ -130,4 +128,3 @@ func benchPredictEngine(b *testing.B, km KernelMode) {
 }
 
 func BenchmarkPredictEngineKernel(b *testing.B) { benchPredictEngine(b, KernelAuto) }
-func BenchmarkPredictEngineLegacy(b *testing.B) { benchPredictEngine(b, KernelLegacy) }

@@ -22,24 +22,22 @@ type Layer struct {
 	cfg LayerConfig
 
 	// w[j] is neuron j's weight row (length in); mW/vW are the aligned
-	// Adam moments and gW the shared batch-gradient buffer that worker
-	// threads accumulate into (§3.1 HOGWILD accumulation). Depending on
-	// Config.Layout the rows live in shared arena slabs or in one
-	// allocation per neuron.
+	// Adam moments. Depending on Config.Layout the rows live in shared
+	// arena slabs or in one allocation per neuron. Batch gradients live
+	// in the workers' backShards, not here.
 	w  [][]float32
 	mW [][]float32
 	vW [][]float32
-	gW [][]float32
-	// b, mB, vB, gB are biases, their moments and gradient.
+	// b, mB, vB are biases and their moments.
 	b  []float32
 	mB []float32
 	vB []float32
-	gB []float32
 
 	// touched[j] == batchEpoch marks neuron j as having accumulated
 	// gradient this batch; colStamp (nil for small fan-in layers) marks
-	// touched input columns the same way. Both receive racy same-value
-	// stores from worker threads, which is benign.
+	// touched input columns the same way. Only extractSharded writes
+	// them, at the quiesced batch boundary, from the shards' row and
+	// column lists.
 	touched    []uint32
 	colStamp   []uint32
 	colList    []int32 // scratch for the per-batch touched-column list
@@ -55,12 +53,11 @@ type Layer struct {
 	tables *hashtable.Handle
 
 	// mirror is the column-major weight mirror the scatter-form forward
-	// kernel streams (nil when the layer never scatters: sampled layers,
-	// layers whose input is always dense, and KernelLegacy networks).
-	// Derived state: ApplyDelta/applyAdamFused dual-write stepped cells
-	// and bulk weight restores call refreshMirror. The same one-resident-
-	// copy trade snapBuf makes, spent on forward speed instead of
-	// off-critical-path rebuilds.
+	// kernel streams (nil when the layer never scatters: sampled layers
+	// and layers whose input is always dense). Derived state: ApplyDelta
+	// dual-writes stepped cells and bulk weight restores call
+	// refreshMirror. The same one-resident-copy trade snapBuf makes,
+	// spent on forward speed instead of off-critical-path rebuilds.
 	mirror *kernels.Mirror
 
 	// snapBuf is the reusable weight-snapshot buffer for background
@@ -86,20 +83,16 @@ func newLayer(idx, in int, cfg LayerConfig, netCfg Config, ar *arena.Arena, seed
 		l.w = ar.AllocRows(cfg.Size, in, netCfg.PadRows)
 		l.mW = ar.AllocRows(cfg.Size, in, netCfg.PadRows)
 		l.vW = ar.AllocRows(cfg.Size, in, netCfg.PadRows)
-		l.gW = ar.AllocRows(cfg.Size, in, netCfg.PadRows)
 		l.b = ar.AllocAligned(cfg.Size)
 		l.mB = ar.AllocAligned(cfg.Size)
 		l.vB = ar.AllocAligned(cfg.Size)
-		l.gB = ar.AllocAligned(cfg.Size)
 	case LayoutPerNeuron:
 		l.w = arena.AllocRowsPerNeuron(cfg.Size, in)
 		l.mW = arena.AllocRowsPerNeuron(cfg.Size, in)
 		l.vW = arena.AllocRowsPerNeuron(cfg.Size, in)
-		l.gW = arena.AllocRowsPerNeuron(cfg.Size, in)
 		l.b = make([]float32, cfg.Size)
 		l.mB = make([]float32, cfg.Size)
 		l.vB = make([]float32, cfg.Size)
-		l.gB = make([]float32, cfg.Size)
 	default:
 		return nil, fmt.Errorf("core: unknown layout %v", netCfg.Layout)
 	}

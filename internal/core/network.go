@@ -31,8 +31,7 @@ type Network struct {
 	ar     *arena.Arena
 	adam   optim.Adam
 	// kern is the resolved kernel-planning policy (Config.Kernels): every
-	// forward pass asks it for a gather/scatter/legacy form, every
-	// backward pass for fused vs reference row loops.
+	// forward pass asks it for a gather or scatter form.
 	kern kernels.Config
 
 	step     int64 // completed training iterations (batches)
@@ -58,7 +57,7 @@ type Network struct {
 	rebuildBuildNS int64
 
 	// shardMu guards the backward gradient shard registry below. Shard
-	// sets are created lazily (first fused backward pass of a worker) and
+	// sets are created lazily (a worker's first backward pass) and
 	// reused across Train calls; workerShards is keyed [worker][layer],
 	// layerShards is the transpose [layer][worker] that ExtractDelta folds.
 	shardMu      sync.Mutex
@@ -122,16 +121,14 @@ func newNetwork(cfg Config, buildTables bool) (*Network, error) {
 		n.layers = append(n.layers, l)
 		in = lc.Size
 	}
-	if cfg.Kernels != KernelLegacy {
-		// A layer's input arrives sparse when it is first (the example's
-		// feature vector) or follows a sampled layer (an active-id set);
-		// only those layers can ever run the scatter form, so only they
-		// pay for a mirror.
-		sparseIn := true
-		for _, l := range n.layers {
-			l.initMirror(sparseIn, cfg.MirrorFormat.kernelFormat(), n.ar)
-			sparseIn = l.Sampled()
-		}
+	// A layer's input arrives sparse when it is first (the example's
+	// feature vector) or follows a sampled layer (an active-id set); only
+	// those layers can ever run the scatter form, so only they pay for a
+	// mirror.
+	sparseIn := true
+	for _, l := range n.layers {
+		l.initMirror(sparseIn, cfg.MirrorFormat.kernelFormat(), n.ar)
+		sparseIn = l.Sampled()
 	}
 	if buildTables {
 		n.RebuildTables(0)

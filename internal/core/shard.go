@@ -5,22 +5,16 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Sharded backward scatter: the multicore refactor of the gradient
-// accumulation path.
+// Sharded backward scatter: where a batch's gradient lives.
 //
-// The PR 5 backward pass bottoms out in a scatter into the layer's shared
-// gW buffers — HOGWILD-racy (ModeHogwild), CAS-serialized (ModeAtomic) or
-// replayed post-batch (ModeBatchSync). All three contend on the same cache
-// lines once more than one worker touches the same hot rows, which is
-// exactly what the paper's 44-core claim cannot afford. Since the
-// sparse-gradient pipeline (PR 4) made "weights only move at batch
-// boundaries" an explicit invariant, the whole batch's gradient work is
-// free to land in per-worker private buffers instead: each worker owns one
-// backShard per layer, writes it with no interference of any kind, and
-// ExtractDelta folds the shards at the batch boundary — summing per cell
-// in fixed shard order, so the result is deterministic given the
-// element-to-worker assignment, and bit-identical to the shared-buffer
-// path whenever that assignment is (one thread, or id-sharded BatchSync).
+// Weights only move at batch boundaries, so the whole batch's gradient
+// work is free to land in per-worker private buffers: each worker owns
+// one backShard per layer and writes it with no interference of any kind
+// — HOGWILD's zero-coordination hot loop with nothing left to race on,
+// and no shared cache lines for hot rows to contend over. ExtractDelta
+// folds the shards at the batch boundary, summing per cell in fixed shard
+// order, so the result is deterministic given the element-to-worker
+// assignment (one thread, or id-sharded BatchSync replay).
 //
 // Storage adapts to the layer's input shape, decided once per network
 // (the input of a layer is statically sparse or dense in training):
@@ -217,14 +211,15 @@ func (n *Network) resetShardStamps() {
 	}
 }
 
-// accumulateSharded is the fused modes' backward scatter: the same row
-// kernels as the shared-buffer path, aimed at the worker's private shard.
-// Unlike the legacy path it performs no shared writes at all — not even
-// the benign same-value touched/colStamp stores; extraction derives the
+// accumulateSharded is the backward scatter: one element's weight and
+// bias gradient contributions, pushed through the vecmath outer-product
+// row kernels into the worker's private shard, fused with the
+// accumulation toward the previous layer (weight values feed acc before
+// anything is written, preserving classical backprop semantics within the
+// element). It performs no shared writes at all; extraction derives the
 // batch's row/column union from the shard lists at the boundary. With
-// weights only moving at batch boundaries, that makes the whole fused
-// backward race-free by construction (the race detector agrees), while
-// keeping HOGWILD's zero-coordination hot loop.
+// weights only moving at batch boundaries, that makes the whole backward
+// race-free by construction (the race detector agrees).
 func (l *Layer) accumulateSharded(sh *backShard, ls *layerState, inIds []int32, inVals []float32, inFull bool, acc []float32) {
 	epoch := l.batchEpoch
 	sh.sync(epoch)
@@ -273,12 +268,12 @@ func (l *Layer) accRowSharded(sh *backShard, j int32, dj float32, epoch uint32, 
 	sh.bias[r] += dj
 }
 
-// replayRecordShard is accumulateRecordShard's sharded counterpart for
-// ModeBatchSync: worker-shard `shard` replays every record's rows with
-// id ∈ shard (mod shards) into its own backShard. Each neuron row lives in
-// exactly one shard, so the per-cell addition sequence is the record order
-// — independent of the thread count, which keeps BatchSync's determinism
-// guarantee, now without any shared gradient writes at all.
+// replayRecordShard is ModeBatchSync's post-batch accumulation:
+// worker-shard `shard` replays every record's rows with id ∈ shard (mod
+// shards) into its own backShard. Each neuron row lives in exactly one
+// shard, so the per-cell addition sequence is the record order —
+// independent of the thread count, which keeps BatchSync's determinism
+// guarantee without any shared gradient writes.
 func replayRecordShard(l *Layer, sh *backShard, lr *layerRecord, shard, shards int) {
 	epoch := l.batchEpoch
 	sh.sync(epoch)
@@ -326,12 +321,11 @@ func replayRecordShard(l *Layer, sh *backShard, lr *layerRecord, shard, shards i
 	}
 }
 
-// extractSharded drains the layer's shards into dst — the sharded
-// counterpart of Layer.ExtractDelta, same CSR contract (rows ascending,
-// columns ascending within rows, zero cells skipped). Per cell it sums the
-// live shards' contributions in shard-index order, then marks the shards
-// consumed, so a second extract in the same batch is empty, matching the
-// legacy path's zero-as-you-go semantics.
+// extractSharded drains the layer's shards into dst in the LayerDelta CSR
+// form (rows ascending, columns ascending within rows, zero cells
+// skipped). Per cell it sums the live shards' contributions in
+// shard-index order, then marks the shards consumed, so a second extract
+// in the same batch is empty.
 func (l *Layer) extractSharded(dst *LayerDelta, shards []*backShard, workers int) {
 	dst.reset()
 	epoch := l.batchEpoch
@@ -347,11 +341,10 @@ func (l *Layer) extractSharded(dst *LayerDelta, shards []*backShard, workers int
 		dst.RowOff = append(dst.RowOff, 0)
 		return
 	}
-	// The sharded backward makes no shared writes, so the batch's
-	// row/column union is derived here, at the quiesced boundary, by
-	// stamping the shard lists into the layer's epoch stamps and reusing
-	// the ascending scanStamps machinery — the same lists, in the same
-	// order, the legacy path accumulates during the batch.
+	// The backward makes no shared writes, so the batch's row/column
+	// union is derived here, at the quiesced boundary, by stamping the
+	// shard lists into the layer's epoch stamps and collecting them in
+	// ascending order with scanStamps.
 	for _, sh := range live {
 		for _, j := range sh.rows {
 			l.touched[j] = epoch

@@ -69,7 +69,7 @@ type TrainResult struct {
 	// analog for the delta exchange.
 	ExchangeHiddenNS int64
 	// KernelForwards counts forward kernel executions by chosen form
-	// ("gather", "scatter", "legacy") across the run — the
+	// ("gather", "scatter") across the run — the
 	// density-adaptive engine's decision record, one count per (layer,
 	// element) pass.
 	KernelForwards map[string]int64
@@ -117,11 +117,9 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 		if err != nil {
 			return nil, err
 		}
-		if n.kern.Fused() {
-			// Attach the worker's backward gradient shards up front so the
-			// hot loop never takes the registry lock.
-			st.shards = n.backShardSet(w)
-		}
+		// Attach the worker's backward gradient shards up front so the hot
+		// loop never takes the registry lock.
+		st.shards = n.backShardSet(w)
 		states[w] = st
 	}
 
@@ -314,10 +312,10 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 		t0 := nowNano()
 		if overlap {
 			// Pipelined step: the forward runs while the previous
-			// batch's exchange is in flight (it never reads gW, and no
-			// weights step until the barrier below), then the merged
-			// delta lands before backward — which does read weights —
-			// needs the replicas realigned.
+			// batch's exchange is in flight (it never reads gradients,
+			// and no weights step until the barrier below), then the
+			// merged delta lands before backward — which does read
+			// weights — needs the replicas realigned.
 			runPhase(phaseForward, batch)
 			if pend != nil {
 				var sErr error

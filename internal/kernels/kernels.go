@@ -44,9 +44,6 @@ type Form uint8
 const (
 	// FormAuto lets the plan pick per pass from the measured density.
 	FormAuto Form = iota
-	// FormLegacy is the pre-engine per-neuron reference path (kept alive
-	// the same way applyAdamFused backs the optimizer equivalence tests).
-	FormLegacy
 	// FormGather is the per-active-row fused dot form.
 	FormGather
 	// FormScatter is the input-major column-axpy form.
@@ -60,8 +57,6 @@ func (f Form) String() string {
 	switch f {
 	case FormAuto:
 		return "auto"
-	case FormLegacy:
-		return "legacy"
 	case FormGather:
 		return "gather"
 	case FormScatter:
@@ -83,10 +78,10 @@ const DefaultScatterMaxDensity = 0.25
 // Config fixes a network's kernel-planning policy. The zero value is the
 // adaptive default.
 type Config struct {
-	// Force pins every pass to one form: FormLegacy for the reference
-	// path, FormGather/FormScatter for equivalence tests and benchmarks
-	// (a forced scatter still falls back to gather where no mirror
-	// exists — the form would be incomputable). FormAuto adapts per pass.
+	// Force pins every pass to one form: FormGather/FormScatter for
+	// equivalence tests and benchmarks (a forced scatter still falls
+	// back to gather where no mirror exists — the form would be
+	// incomputable). FormAuto adapts per pass.
 	Force Form
 	// ScatterMaxDensity overrides the gather/scatter density crossover;
 	// 0 selects DefaultScatterMaxDensity.
@@ -109,8 +104,6 @@ func (c Config) WithDefaults() Config {
 // whose every neuron is active (dense layers).
 func (c Config) ForwardForm(nnz, in int, inFull, hasMirror bool) Form {
 	switch c.Force {
-	case FormLegacy:
-		return FormLegacy
 	case FormGather:
 		return FormGather
 	case FormScatter:
@@ -131,10 +124,6 @@ func (c Config) ForwardForm(nnz, in int, inFull, hasMirror bool) Form {
 	}
 	return FormScatter
 }
-
-// Fused reports whether the backward pass should use the fused
-// outer-product kernels (every form except the legacy reference).
-func (c Config) Fused() bool { return c.Force != FormLegacy }
 
 // MirrorFormat selects the numeric storage of a weight mirror. FP32 is
 // the exact default; BF16 halves the bytes the scatter form streams at

@@ -218,7 +218,6 @@ func TestForwardFormPlan(t *testing.T) {
 		inFull, hasMirror bool
 		want              Form
 	}{
-		{"legacy forced", Config{Force: FormLegacy}, 10, 1000, false, true, FormLegacy},
 		{"gather forced", Config{Force: FormGather}, 10, 1000, false, true, FormGather},
 		{"scatter forced", Config{Force: FormScatter}, 10, 1000, false, true, FormScatter},
 		{"scatter forced, no mirror", Config{Force: FormScatter}, 10, 1000, false, false, FormGather},
@@ -255,7 +254,7 @@ func TestWorkspaceEnsureAccReuses(t *testing.T) {
 }
 
 func TestFormString(t *testing.T) {
-	for f, want := range map[Form]string{FormAuto: "auto", FormLegacy: "legacy", FormGather: "gather", FormScatter: "scatter"} {
+	for f, want := range map[Form]string{FormAuto: "auto", FormGather: "gather", FormScatter: "scatter"} {
 		if f.String() != want {
 			t.Errorf("Form(%d).String() = %q, want %q", f, f.String(), want)
 		}

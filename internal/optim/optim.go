@@ -3,36 +3,34 @@
 // SLIDE trains with Adam (§5, "we also use the same optimizer, Adam")
 // applied lazily: only the weights touched by an active neuron's sparse
 // gradient receive a step, with first/second moments stored per weight.
-// Three write disciplines support the paper's asynchronous design (§3.1)
-// and its ablation:
+// Two update modes support the paper's asynchronous design (§3.1):
 //
-//   - ModeHogwild: plain unsynchronized read-modify-write, the paper's
-//     HOGWILD choice (Recht et al. 2011). Races are deliberate; sparse
-//     updates rarely collide and the occasional lost update is tolerated.
-//   - ModeAtomic: compare-and-swap loops per scalar. No lost updates, no
-//     locks; slightly slower. Safe under the Go race detector.
-//   - ModeBatchSync: gradients are accumulated per batch and applied by
-//     non-overlapping shards, giving deterministic single-threaded-
-//     equivalent results.
+//   - ModeHogwild: the paper's HOGWILD choice (Recht et al. 2011) —
+//     worker threads accumulate their elements' gradients with no
+//     coordination, each into its own gradient shards.
+//   - ModeBatchSync: elements are recorded during the batch and their
+//     gradients replayed afterwards, sharded by neuron id, giving
+//     results independent of the thread count.
+//
+// Either way the Adam step runs once per batch, with plain writes and one
+// writer per weight row.
 package optim
 
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
-	"unsafe"
 )
 
-// UpdateMode selects the gradient write discipline.
+// UpdateMode selects how a batch's gradient is accumulated. The values
+// are serialized in model files, so each keeps its number; 1 (CAS-based
+// "atomic" adds) is retired.
 type UpdateMode int
 
 const (
-	// ModeHogwild pushes unsynchronized updates (the paper default).
-	ModeHogwild UpdateMode = iota
-	// ModeAtomic pushes CAS-based lock-free updates.
-	ModeAtomic
-	// ModeBatchSync accumulates per batch and applies synchronously.
-	ModeBatchSync
+	// ModeHogwild accumulates without coordination (the paper default).
+	ModeHogwild UpdateMode = 0
+	// ModeBatchSync records the batch and replays it deterministically.
+	ModeBatchSync UpdateMode = 2
 )
 
 // String returns the configuration name of the mode.
@@ -40,8 +38,6 @@ func (m UpdateMode) String() string {
 	switch m {
 	case ModeHogwild:
 		return "hogwild"
-	case ModeAtomic:
-		return "atomic"
 	case ModeBatchSync:
 		return "batch-sync"
 	default:
@@ -54,12 +50,12 @@ func ParseUpdateMode(s string) (UpdateMode, error) {
 	switch s {
 	case "hogwild":
 		return ModeHogwild, nil
-	case "atomic":
-		return ModeAtomic, nil
 	case "batch-sync":
 		return ModeBatchSync, nil
+	case "atomic":
+		return 0, fmt.Errorf("optim: update mode %q is retired; use \"hogwild\", which runs the same backward", s)
 	}
-	return 0, fmt.Errorf("optim: unknown update mode %q", s)
+	return 0, fmt.Errorf("optim: unknown update mode %q (want hogwild|batch-sync)", s)
 }
 
 // Adam holds the Adam hyperparameters (Kingma & Ba 2014). The zero value
@@ -90,22 +86,13 @@ func (a Adam) Alpha(t int64) float32 {
 }
 
 // Step1 applies one Adam step to a single weight with gradient g using
-// plain writes (ModeHogwild). alpha is Alpha(t).
+// plain writes. alpha is Alpha(t).
 func (a Adam) Step1(w, m, v *float32, g, alpha float32) {
 	nm := a.Beta1**m + (1-a.Beta1)*g
 	nv := a.Beta2**v + (1-a.Beta2)*g*g
 	*m = nm
 	*v = nv
 	*w -= alpha * nm / (sqrt32(nv) + a.Eps)
-}
-
-// Step1Atomic applies one Adam step to a single weight using CAS loops
-// (ModeAtomic). Each scalar is updated atomically; the triplet is not a
-// transaction, matching lock-free sparse-Adam practice.
-func (a Adam) Step1Atomic(w, m, v *float32, g, alpha float32) {
-	nm := atomicRMW(m, func(old float32) float32 { return a.Beta1*old + (1-a.Beta1)*g })
-	nv := atomicRMW(v, func(old float32) float32 { return a.Beta2*old + (1-a.Beta2)*g*g })
-	atomicRMW(w, func(old float32) float32 { return old - alpha*nm/(sqrt32(nv)+a.Eps) })
 }
 
 // StepRow applies Adam to a full row with dense gradient g (the dense
@@ -122,36 +109,6 @@ func (a Adam) StepRow(w, m, v, g []float32, alpha float32) {
 		v[i] = nv
 		w[i] -= alpha * nm / (sqrt32(nv) + eps)
 	}
-}
-
-// SGD is plain stochastic gradient descent, provided for ablations.
-type SGD struct {
-	LR float32
-}
-
-// Step1 applies w -= lr*g with plain writes.
-func (s SGD) Step1(w *float32, g float32) { *w -= s.LR * g }
-
-// Step1Atomic applies w -= lr*g with a CAS loop.
-func (s SGD) Step1Atomic(w *float32, g float32) {
-	atomicRMW(w, func(old float32) float32 { return old - s.LR*g })
-}
-
-// atomicRMW atomically applies f to *p and returns the new value.
-func atomicRMW(p *float32, f func(float32) float32) float32 {
-	addr := (*uint32)(unsafe.Pointer(p))
-	for {
-		oldBits := atomic.LoadUint32(addr)
-		newVal := f(math.Float32frombits(oldBits))
-		if atomic.CompareAndSwapUint32(addr, oldBits, math.Float32bits(newVal)) {
-			return newVal
-		}
-	}
-}
-
-// AtomicAdd adds delta to *p with a CAS loop and returns the new value.
-func AtomicAdd(p *float32, delta float32) float32 {
-	return atomicRMW(p, func(old float32) float32 { return old + delta })
 }
 
 func sqrt32(x float32) float32 {

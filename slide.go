@@ -174,7 +174,6 @@ const (
 // Gradient update modes for Config.UpdateMode (§3.1).
 const (
 	UpdateHogwild   = optim.ModeHogwild
-	UpdateAtomic    = optim.ModeAtomic
 	UpdateBatchSync = optim.ModeBatchSync
 )
 
@@ -188,11 +187,9 @@ const (
 type KernelMode = core.KernelMode
 
 // Kernel engine modes for Config.Kernels: the density-adaptive
-// gather/scatter engine (default), the per-neuron reference path, or one
-// form pinned for ablation.
+// gather/scatter engine (default), or one form pinned for ablation.
 const (
 	KernelAuto    = core.KernelAuto
-	KernelLegacy  = core.KernelLegacy
 	KernelGather  = core.KernelGather
 	KernelScatter = core.KernelScatter
 )
@@ -233,7 +230,7 @@ func ParseStrategy(s string) (StrategyKind, error) { return sampling.ParseKind(s
 func ParsePolicy(s string) (Policy, error) { return hashtable.ParsePolicy(s) }
 
 // ParseUpdateMode parses a gradient update mode name ("hogwild",
-// "atomic", "batch-sync").
+// "batch-sync").
 func ParseUpdateMode(s string) (UpdateMode, error) { return optim.ParseUpdateMode(s) }
 
 // ParseCompression parses a delta compression spec ("fp32", "bf16",

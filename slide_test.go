@@ -56,8 +56,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 // TestUpdateModeConstants pins the exported constants to distinct values.
 func TestExportedConstantsDistinct(t *testing.T) {
-	if slide.UpdateHogwild == slide.UpdateAtomic || slide.UpdateAtomic == slide.UpdateBatchSync {
+	if slide.UpdateHogwild == slide.UpdateBatchSync {
 		t.Fatal("update mode constants collide")
+	}
+	if slide.KernelAuto == slide.KernelGather || slide.KernelGather == slide.KernelScatter {
+		t.Fatal("kernel mode constants collide")
 	}
 	if slide.HashSimhash == slide.HashDWTA {
 		t.Fatal("hash constants collide")
