@@ -56,12 +56,6 @@ func (m *BusyMeter) Utilization(wall time.Duration) float64 {
 // given thread count: each worker runs an unrolled 8-accumulator
 // multiply-add loop over a 4KB (L1-resident) buffer for roughly dur.
 // The result is the denominator of the Fig. 6 memory-boundedness proxy.
-//
-// Each worker's rate is taken over the CPU time its own OS thread received,
-// not over wall time, so other processes competing for the cores during
-// the window do not lower the peak. The sum is capped at the parallelism
-// the runtime can deliver: beyond min(GOMAXPROCS, NumCPU) workers only
-// time-share. Where thread CPU time cannot be read, wall time is used.
 func CalibratePeak(threads int, dur time.Duration) float64 {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
@@ -69,41 +63,29 @@ func CalibratePeak(threads int, dur time.Duration) float64 {
 	if dur <= 0 {
 		dur = 50 * time.Millisecond
 	}
-	rates := make([]float64, threads)
+	flops := make([]float64, threads)
 	sums := make([]float32, threads)
 	var wg sync.WaitGroup
 	for w := 0; w < threads; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rates[w], sums[w] = fmaLoop(dur)
+			flops[w], sums[w] = fmaLoop(dur)
 		}(w)
 	}
 	wg.Wait()
 	var total float64
-	for w, r := range rates {
-		total += r
+	for w, f := range flops {
+		total += f
 		sink += sums[w] // single writer after the join; keeps the loops live
-	}
-	if par := min(runtime.GOMAXPROCS(0), runtime.NumCPU()); threads > par {
-		total *= float64(par) / float64(threads)
 	}
 	return total
 }
 
-// peakWindows is the number of windows fmaLoop splits its run into; it
-// keeps the best, so a window in which the thread was slowed (a stolen
-// vCPU, a busy SMT sibling) does not set the peak.
-const peakWindows = 5
-
-// fmaLoop runs multiply-adds over an L1-resident buffer for roughly dur
-// and returns the best FLOP/s over peakWindows equal windows, each taken
-// per second of this thread's CPU time (wall time where that is
-// unavailable), plus the accumulator checksum (the caller folds it into
-// sink so the loop cannot be dead-code eliminated).
+// fmaLoop runs multiply-adds over an L1-resident buffer and returns the
+// achieved FLOP/s for this goroutine plus the accumulator checksum (the
+// caller folds it into sink so the loop cannot be dead-code eliminated).
 func fmaLoop(dur time.Duration) (float64, float32) {
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
 	const n = 1024 // 4KB of float32: L1-resident
 	buf := make([]float32, n)
 	for i := range buf {
@@ -111,33 +93,27 @@ func fmaLoop(dur time.Duration) (float64, float32) {
 	}
 	var s0, s1, s2, s3, s4, s5, s6, s7 float32 = 1, 1, 1, 1, 1, 1, 1, 1
 	c := float32(1.0000001)
-	var best float64
-	for range peakWindows {
-		cpu0, cpuOK := threadCPU()
-		start := time.Now()
-		var ops float64
-		for time.Since(start) < dur/peakWindows {
-			for i := 0; i < n; i += 8 {
-				s0 = s0*c + buf[i]
-				s1 = s1*c + buf[i+1]
-				s2 = s2*c + buf[i+2]
-				s3 = s3*c + buf[i+3]
-				s4 = s4*c + buf[i+4]
-				s5 = s5*c + buf[i+5]
-				s6 = s6*c + buf[i+6]
-				s7 = s7*c + buf[i+7]
-			}
-			ops += 2 * n // one mul + one add per element
+	start := time.Now()
+	var ops float64
+	for time.Since(start) < dur {
+		for i := 0; i < n; i += 8 {
+			s0 = s0*c + buf[i]
+			s1 = s1*c + buf[i+1]
+			s2 = s2*c + buf[i+2]
+			s3 = s3*c + buf[i+3]
+			s4 = s4*c + buf[i+4]
+			s5 = s5*c + buf[i+5]
+			s6 = s6*c + buf[i+6]
+			s7 = s7*c + buf[i+7]
 		}
-		elapsed := time.Since(start).Seconds()
-		if cpu1, ok := threadCPU(); cpuOK && ok && cpu1 > cpu0 {
-			elapsed = (cpu1 - cpu0).Seconds()
-		}
-		if elapsed > 0 {
-			best = max(best, ops/elapsed)
-		}
+		ops += 2 * n // one mul + one add per element
 	}
-	return best, s0 + s1 + s2 + s3 + s4 + s5 + s6 + s7
+	sum := s0 + s1 + s2 + s3 + s4 + s5 + s6 + s7
+	elapsed := time.Since(start).Seconds()
+	if elapsed <= 0 {
+		return 0, sum
+	}
+	return ops / elapsed, sum
 }
 
 // sink defeats dead-code elimination of the calibration loop.
