@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -155,6 +156,18 @@ func TestExtractDeltaDrainsBuffers(t *testing.T) {
 		if ld := &again.Layers[li]; len(ld.Rows) != 0 || len(ld.RowOff) != 1 {
 			t.Fatalf("layer %d: second extract has %d rows and %d offsets, want 0 and 1", li, len(ld.Rows), len(ld.RowOff))
 		}
+	}
+	// The consumed layer and shards start afresh: another element's
+	// backward in the same batch epoch (no beginBatch) extracts exactly
+	// what it extracts in a batch of its own, with no rows left from the
+	// first batch.
+	next := ds.Train[16:17]
+	n.forwardElem(st, next[0].Features, next[0].Labels, modeTrain)
+	n.backwardElem(st, next[0].Features, next[0].Labels, nil)
+	sameEpoch := n.ExtractDelta(nil, 2)
+	runManualBatch(t, n, st, next, nil)
+	if own := n.ExtractDelta(nil, 2); !reflect.DeepEqual(sameEpoch, own) {
+		t.Fatal("accumulating in the same batch epoch after an extract differs from a batch of its own")
 	}
 
 	// Deltas must have ascending rows and ascending columns per row —

@@ -37,7 +37,7 @@ type Layer struct {
 	// gradient this batch; colStamp (nil for small fan-in layers) marks
 	// touched input columns the same way. Only extractSharded writes
 	// them, at the quiesced batch boundary, from the shards' row and
-	// column lists.
+	// column lists, and it clears them again once the shards are consumed.
 	touched    []uint32
 	colStamp   []uint32
 	colList    []int32 // scratch for the per-batch touched-column list

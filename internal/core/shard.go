@@ -325,7 +325,7 @@ func replayRecordShard(l *Layer, sh *backShard, lr *layerRecord, shard, shards i
 // form (rows ascending, columns ascending within rows, zero cells
 // skipped). Per cell it sums the live shards' contributions in
 // shard-index order, then marks the shards consumed, so a second extract
-// in the same batch is empty.
+// in the same batch is empty and a further accumulation starts afresh.
 func (l *Layer) extractSharded(dst *LayerDelta, shards []*backShard, workers int) {
 	dst.reset()
 	epoch := l.batchEpoch
@@ -479,8 +479,23 @@ func (l *Layer) extractSharded(dst *LayerDelta, shards []*backShard, workers int
 		}
 	})
 
-	// Consume: the batch's gradient now lives in dst alone.
+	// Consume: the batch's gradient now lives in dst alone. Clearing the
+	// stamps this extract relied on, in O(rows + cols), leaves the layer
+	// and its shards empty, so a later accumulation in the same batch
+	// epoch claims fresh slots instead of stale ones.
+	for _, j := range rows {
+		l.touched[j] = 0
+	}
+	for _, i := range cols {
+		l.colStamp[i] = 0
+	}
 	for _, sh := range live {
+		for _, j := range sh.rows {
+			sh.rowStamp[j] = 0
+		}
+		for _, i := range sh.cols {
+			sh.colStamp[i] = 0
+		}
 		sh.epoch = 0
 	}
 }

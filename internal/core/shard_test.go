@@ -27,9 +27,10 @@ func TestShardedBackwardMatchesLegacyBitwise(t *testing.T) {
 
 // TestBatchSyncShardedMatchesLegacyReplay: the id-sharded BatchSync replay
 // into backShards must extract the batchsync/replay engine golden — the
-// delta the shared-buffer replay produced for the same records — and
-// replaying the same records in the next batch, into the reused shards,
-// must extract it again.
+// delta the shared-buffer replay produced for the same records. Replaying
+// the same records into the consumed shards must extract it again, both
+// within the same batch epoch (no beginBatch in between) and in the next
+// batch.
 func TestBatchSyncShardedMatchesLegacyReplay(t *testing.T) {
 	n, records := batchSyncGoldenRecords(t)
 	n.accumulateBatchSync(records, 3)
@@ -39,10 +40,14 @@ func TestBatchSyncShardedMatchesLegacyReplay(t *testing.T) {
 	}
 	requireEngineGolden(t, "batchsync/replay", deltaDigest(first))
 
+	n.accumulateBatchSync(records, 3)
+	if again := n.ExtractDelta(nil, 2); !reflect.DeepEqual(first, again) {
+		t.Fatal("replaying the same records in the same batch epoch extracted a different delta")
+	}
 	n.beginBatch()
 	n.accumulateBatchSync(records, 3)
 	if again := n.ExtractDelta(nil, 2); !reflect.DeepEqual(first, again) {
-		t.Fatal("replaying the same records into reused shards extracted a different delta")
+		t.Fatal("replaying the same records in the next batch extracted a different delta")
 	}
 }
 
